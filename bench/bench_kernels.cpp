@@ -122,6 +122,24 @@ BM_BruteForceKnn(benchmark::State &state)
 }
 BENCHMARK(BM_BruteForceKnn)->Arg(1024)->Arg(4096);
 
+/** DGCNN's dynamic graph: exact k-NN over N x 64 features, k = 20. */
+void
+BM_FeatureSpaceKnn(benchmark::State &state)
+{
+    constexpr std::size_t kDim = 64;
+    Rng rng = benchRng(5);
+    std::vector<float> feats(state.range(0) * kDim);
+    for (auto &v : feats) {
+        v = rng.normal();
+    }
+    for (auto _ : state) {
+        auto lists =
+            BruteForceKnn::searchFeatureSpace(feats, feats, kDim, 20);
+        benchmark::DoNotOptimize(lists.indices.data());
+    }
+}
+BENCHMARK(BM_FeatureSpaceKnn)->Arg(4096)->Arg(8192);
+
 void
 BM_KdTreeKnn(benchmark::State &state)
 {

@@ -185,7 +185,8 @@ ThreadPool::parallelForChunked(
     {
         MutexLock lock(queueMutex);
         for (std::size_t i = 0; i < helpers; ++i) {
-            tasks.push(Task{[batch, run_chunks] { run_chunks(batch); }});
+            tasks.push(
+                Task{[batch, run_chunks] { run_chunks(batch); }, Timer()});
         }
     }
     queueCv.notify_all();
@@ -236,7 +237,7 @@ ThreadPool::submit(std::function<void()> fn)
     queueDepthGauge().add(1);
     {
         MutexLock lock(queueMutex);
-        tasks.push(Task{[task] { (*task)(); }});
+        tasks.push(Task{[task] { (*task)(); }, Timer()});
     }
     queueCv.notify_one();
     return future;

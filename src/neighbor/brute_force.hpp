@@ -39,9 +39,20 @@ class BruteForceKnn : public NeighborSearch
     std::string name() const override { return "knn"; }
 
     /**
-     * k-NN in an arbitrary-dimension feature space (row-major points
-     * of dimension dim). Used by DGCNN's later EdgeConv modules, which
-     * search neighbors by feature distance (Sec 5.2.3).
+     * Exact k-NN in an arbitrary-dimension feature space (row-major
+     * points of dimension dim). Used by DGCNN's later EdgeConv modules,
+     * which search neighbors by feature distance (Sec 5.2.3).
+     *
+     * Runs as a GEMM filter (DESIGN.md §16): the packed GEMM engine
+     * streams q·c tiles, each lane is masked on |c|^2 - 2 q·c against
+     * the query's current k-th distance plus a proven rounding margin,
+     * and only the survivors get the exact in-order diff*diff distance
+     * and a heap push, in ascending candidate order. The lists are
+     * index-identical, tie order included, to a plain scan of every
+     * candidate on both GEMM dispatch paths; rows with NaN/Inf or
+     * overflowing features are never filtered, so they also behave
+     * exactly like the scan. No distance matrix is materialized. k is
+     * clamped to the candidate count.
      */
     [[nodiscard]]
     static NeighborLists searchFeatureSpace(std::span<const float> queries,

@@ -783,6 +783,65 @@ gemmPacked(const float *a, bool a_transposed, const float *b,
         0);
 }
 
+static_assert(GemmTile::kRows == kMR && GemmTile::kCols == kNR,
+              "GemmTile mirrors the microkernel register block");
+
+/** What one streamTransposedTiles worker needs (one reference, so the
+ *  parallelFor closure stays in std::function's inline buffer). */
+struct TileStreamCtx
+{
+    const float *a;
+    std::size_t m;
+    std::size_t k;
+    std::size_t n;
+    const float *bpack;
+    std::size_t panels;
+    const std::function<void(const GemmTile &)> *consume;
+    bool useFma;
+};
+
+/**
+ * Row blocks [lo, hi) of a streamed A * B^T: all kMR-row blocks of a
+ * kMC block are packed up front, then each B panel is applied to every
+ * one of them while it is hot in L1. Per row the panels still arrive
+ * in ascending order.
+ */
+void
+streamTileChunk(const TileStreamCtx &ctx, std::size_t lo, std::size_t hi)
+{
+    ScratchArena &arena = ScratchArena::local();
+    ScratchArena::Frame frame(arena);
+    float *apack = arena.alloc<float>(kMC * ctx.k).data();
+    alignas(32) float acc[kMR * kNR];
+    for (std::size_t ib = lo; ib < hi; ++ib) {
+        const std::size_t row_lo = ib * kMC;
+        const std::size_t row_hi = std::min(ctx.m, row_lo + kMC);
+        const std::size_t blocks = (row_hi - row_lo + kMR - 1) / kMR;
+        for (std::size_t blk = 0; blk < blocks; ++blk) {
+            const std::size_t i0 = row_lo + blk * kMR;
+            packABlock(ctx.a, false, ctx.k, ctx.k, i0,
+                       std::min(kMR, row_hi - i0),
+                       apack + blk * kMR * ctx.k);
+        }
+        for (std::size_t p = 0; p < ctx.panels; ++p) {
+            const float *bpanel = ctx.bpack + p * ctx.k * kNR;
+            const std::size_t j0 = p * kNR;
+            const std::size_t cols = std::min(kNR, ctx.n - j0);
+            for (std::size_t blk = 0; blk < blocks; ++blk) {
+                const std::size_t i0 = row_lo + blk * kMR;
+                const float *ablock = apack + blk * kMR * ctx.k;
+                if (ctx.useFma) {
+                    microKernelFma(ablock, bpanel, ctx.k, acc);
+                } else {
+                    microKernelScalar(ablock, bpanel, ctx.k, acc);
+                }
+                (*ctx.consume)(GemmTile{acc, i0, j0,
+                                        std::min(kMR, row_hi - i0), cols});
+            }
+        }
+    }
+}
+
 // ---- int8 quantized inference route (layout in nn/quant.hpp) ----
 
 /**
@@ -1504,6 +1563,33 @@ GemmEngine::gemmQuantized(const float *a, std::size_t m,
         break;
     }
     gemmQuantizedPacked(a, m, wq, c, epilogue, bias, use_avx2);
+}
+
+void
+GemmEngine::streamTransposedTiles(
+    const float *a, std::size_t m, const float *b, std::size_t n,
+    std::size_t k, const std::function<void(const GemmTile &)> &consume)
+{
+    if (m == 0 || n == 0 || k == 0) {
+        return;
+    }
+    ScratchArena &arena = ScratchArena::local();
+    ScratchArena::Frame frame(arena);
+    const std::size_t panels = (n + kNR - 1) / kNR;
+    float *bpack = arena.alloc<float>(panels * k * kNR).data();
+    for (std::size_t p = 0; p < panels; ++p) {
+        packBPanel(b, true, k, n, k, p, bpack + p * k * kNR);
+    }
+    const TileStreamCtx ctx{a,      m,      k,        n,
+                            bpack,  panels, &consume,
+                            dispatchPath() != GemmDispatchPath::ForceScalar &&
+                                fmaAvailable()};
+    ThreadPool::globalPool().parallelForChunked(
+        0, (m + kMC - 1) / kMC,
+        [&ctx](std::size_t lo, std::size_t hi) {
+            streamTileChunk(ctx, lo, hi);
+        },
+        0);
 }
 
 Matrix

@@ -39,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #include "nn/tensor.hpp"
 
@@ -72,6 +73,25 @@ enum class GemmEpilogue
     None,     ///< C = A * B.
     Bias,     ///< C = A * B + bias (bias broadcast over rows).
     BiasRelu, ///< C = max(0, A * B + bias).
+};
+
+/**
+ * One register tile of C = A * B^T, handed to a streamTransposedTiles
+ * consumer instead of being stored. Element (r, c) of the tile is
+ * acc[r * kCols + c] for r < rows, c < cols; lanes past rows / cols are
+ * padding and carry no meaning.
+ */
+struct GemmTile
+{
+    /** Tile capacity: the microkernel's register block. */
+    static constexpr std::size_t kRows = 6;
+    static constexpr std::size_t kCols = 16;
+
+    const float *acc;
+    std::size_t row; ///< First row of A (and of C) in the tile.
+    std::size_t col; ///< First row of B (column of C) in the tile.
+    std::size_t rows;
+    std::size_t cols;
 };
 
 /** Packed two-path GEMM with fused epilogues and dispatch statistics. */
@@ -149,6 +169,22 @@ class GemmEngine
     void gemmQuantized(const float *a, std::size_t m,
                        const QuantizedWeights &wq, float *c,
                        GemmEpilogue epilogue, const float *bias);
+
+    /**
+     * C = A * B^T (A: M x K, B: N x K, both row-major) streamed tile
+     * by tile to @p consume; C itself is never stored. B is packed once
+     * exactly as multiplyTransposed packs it. Row blocks are spread
+     * over the pool with one owner per row, and each row block walks
+     * B's column panels in ascending order, so every row of C reaches
+     * the consumer from one thread, in ascending column order. The
+     * microkernel is the build activeKernelName() names (the FMA one
+     * unless dispatch is forced scalar). Used by exact feature-space
+     * k-NN (DESIGN.md §16); it is not a layer GEMM, so it leaves the
+     * gemm.* counters alone.
+     */
+    static void streamTransposedTiles(
+        const float *a, std::size_t m, const float *b, std::size_t n,
+        std::size_t k, const std::function<void(const GemmTile &)> &consume);
 
     GemmMode mode() const { return policy; }
     void setMode(GemmMode mode) { policy = mode; }

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -292,6 +295,54 @@ TEST(GemmPacked, TransposedVariantsBothPaths)
         expectRelClose(engine.multiplyTransposed(a, bt), want_abt, 1e-4f);
         expectRelClose(engine.multiplyLeftTransposed(at, b), want_atb,
                        1e-4f);
+    }
+}
+
+/**
+ * streamTransposedTiles hands out exactly the tiles multiplyTransposed
+ * stores (same packing, same microkernel), and every row reaches the
+ * consumer from one thread with its columns in ascending order: the
+ * contract exact feature-space k-NN builds its tie order on. 100 rows
+ * span three 48-row owner blocks; 45 columns end in a ragged panel.
+ */
+TEST(GemmPacked, StreamedTilesMatchMultiplyTransposed)
+{
+    const std::size_t m = 100, n = 45, k = 37;
+    const Matrix a = randomMatrix(m, k, 96);
+    const Matrix b = randomMatrix(n, k, 97);
+    std::vector<GemmDispatchPath> paths = {GemmDispatchPath::ForceScalar};
+    if (GemmEngine::fastKernelAvailable()) {
+        paths.push_back(GemmDispatchPath::ForceFast);
+    }
+    GemmEngine engine(GemmMode::Fast);
+    for (const auto path : paths) {
+        const DispatchPathGuard guard(path);
+        const Matrix want = engine.multiplyTransposed(a, b);
+        Matrix got(m, n);
+        std::vector<std::size_t> nextCol(m, 0);
+        std::vector<std::thread::id> owner(m);
+        std::atomic<bool> ordered{true};
+        GemmEngine::streamTransposedTiles(
+            a.data(), m, b.data(), n, k, [&](const GemmTile &tile) {
+                for (std::size_t r = 0; r < tile.rows; ++r) {
+                    const std::size_t i = tile.row + r;
+                    if (tile.col == 0) {
+                        owner[i] = std::this_thread::get_id();
+                    }
+                    if (nextCol[i] != tile.col ||
+                        owner[i] != std::this_thread::get_id()) {
+                        ordered = false;
+                    }
+                    nextCol[i] = tile.col + tile.cols;
+                    for (std::size_t c = 0; c < tile.cols; ++c) {
+                        got.at(i, tile.col + c) =
+                            tile.acc[r * GemmTile::kCols + c];
+                    }
+                }
+            });
+        EXPECT_TRUE(ordered.load());
+        EXPECT_EQ(nextCol, std::vector<std::size_t>(m, n));
+        expectBitExact(got, want);
     }
 }
 

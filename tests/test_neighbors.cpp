@@ -3,15 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "common/rng.hpp"
 #include "neighbor/ball_query.hpp"
 #include "neighbor/brute_force.hpp"
 #include "neighbor/grid_query.hpp"
 #include "neighbor/kd_tree.hpp"
+#include "neighbor/kheap.hpp"
 #include "neighbor/morton_window.hpp"
 #include "neighbor/metrics.hpp"
+#include "nn/gemm.hpp"
 #include "sampling/morton_sampler.hpp"
 
 namespace edgepc {
@@ -77,16 +81,207 @@ TEST(BruteForceKnn, ResultsSortedByDistance)
     }
 }
 
+/**
+ * The plain feature-space scan searchFeatureSpace replaced, kept as its
+ * oracle: every candidate's in-order diff*diff distance pushed into a
+ * KHeap in ascending candidate order (strict `<`, so the first of
+ * equal distances wins). This file builds with FP contraction off, so
+ * the loop rounds exactly like the library's re-check.
+ */
+std::vector<std::uint32_t>
+scanFeatureKnn(std::span<const float> queries,
+               std::span<const float> candidates, std::size_t dim,
+               std::size_t k)
+{
+    const std::size_t nq = queries.size() / dim;
+    const std::size_t nc = candidates.size() / dim;
+    k = std::min(k, nc);
+    std::vector<std::uint32_t> out(nq * k);
+    std::vector<KHeap::Key> storage(k);
+    for (std::size_t q = 0; q < nq; ++q) {
+        KHeap heap(storage);
+        const float *qrow = queries.data() + q * dim;
+        for (std::size_t c = 0; c < nc; ++c) {
+            const float *crow = candidates.data() + c * dim;
+            float dist = 0.0f;
+            for (std::size_t d = 0; d < dim; ++d) {
+                const float diff = qrow[d] - crow[d];
+                dist += diff * diff;
+            }
+            heap.push(dist, static_cast<std::uint32_t>(c));
+        }
+        const auto row = heap.finish();
+        for (std::size_t j = 0; j < k; ++j) {
+            out[q * k + j] = KHeap::indexOf(row[j]);
+        }
+    }
+    return out;
+}
+
+/** Restores the process-wide GEMM dispatch path on scope exit. */
+class GemmPathGuard
+{
+  public:
+    GemmPathGuard() : saved(nn::GemmEngine::dispatchPath()) {}
+    ~GemmPathGuard() { nn::GemmEngine::setDispatchPath(saved); }
+
+  private:
+    nn::GemmDispatchPath saved;
+};
+
+/** Both microkernel builds the tile stream can run on this host. */
+std::vector<nn::GemmDispatchPath>
+gemmPaths()
+{
+    std::vector<nn::GemmDispatchPath> paths = {
+        nn::GemmDispatchPath::ForceScalar};
+    if (nn::GemmEngine::fastKernelAvailable()) {
+        paths.push_back(nn::GemmDispatchPath::ForceFast);
+    }
+    return paths;
+}
+
+/** searchFeatureSpace must return the scan's lists index for index
+ *  (tie order included) under every GEMM dispatch path. */
+void
+expectMatchesScan(std::span<const float> queries,
+                  std::span<const float> candidates, std::size_t dim,
+                  std::size_t k, const std::string &label)
+{
+    const auto want = scanFeatureKnn(queries, candidates, dim, k);
+    const GemmPathGuard guard;
+    for (const auto path : gemmPaths()) {
+        nn::GemmEngine::setDispatchPath(path);
+        const auto got =
+            BruteForceKnn::searchFeatureSpace(queries, candidates, dim, k);
+        const char *route = path == nn::GemmDispatchPath::ForceScalar
+                                ? "scalar"
+                                : "fast";
+        EXPECT_EQ(got.k, std::min(k, candidates.size() / dim))
+            << label << " " << route;
+        EXPECT_EQ(got.indices, want) << label << " " << route;
+    }
+}
+
+std::vector<float>
+normalFeatures(std::size_t n, std::size_t dim, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<float> f(n * dim);
+    for (auto &v : f) {
+        v = rng.normal();
+    }
+    return f;
+}
+
 TEST(BruteForceKnn, FeatureSpaceSearch)
 {
-    // 4 points in a 2-D feature space.
+    // 4 points in a 2-D feature space; every row is pinned, including
+    // the ties: row 0 sees 1 and 2 at distance 1, row 3 sees 1 and 2 at
+    // distance 181, and the first-encountered candidate wins both.
     const std::vector<float> feats = {0, 0, 1, 0, 0, 1, 10, 10};
-    const auto lists = BruteForceKnn::searchFeatureSpace(
-        feats, feats, 2, 2);
-    ASSERT_EQ(lists.queries(), 4u);
-    // Point 0's 2 nearest are itself and point 1 or 2.
-    EXPECT_EQ(lists.row(0)[0], 0u);
-    EXPECT_NE(lists.row(0)[1], 3u);
+    const std::vector<std::uint32_t> want = {0, 1, 1, 0, 2, 0, 3, 1};
+    const GemmPathGuard guard;
+    for (const auto path : gemmPaths()) {
+        nn::GemmEngine::setDispatchPath(path);
+        const auto lists =
+            BruteForceKnn::searchFeatureSpace(feats, feats, 2, 2);
+        ASSERT_EQ(lists.queries(), 4u);
+        EXPECT_EQ(lists.indices, want);
+    }
+}
+
+TEST(FeatureSpaceKnn, MatchesScanAcrossShapes)
+{
+    // 101 candidates: a multiple of neither the 6-row nor the 16-column
+    // tile; 47 queries != 101 candidates; D spans below, at and past
+    // one K block of the microkernel.
+    for (const std::size_t dim : {1u, 2u, 3u, 7u, 16u, 64u, 130u}) {
+        const auto queries = normalFeatures(47, dim, 100 + dim);
+        const auto cands = normalFeatures(101, dim, 200 + dim);
+        expectMatchesScan(queries, cands, dim, 8,
+                          "dim " + std::to_string(dim));
+        expectMatchesScan(cands, cands, dim, 20,
+                          "self dim " + std::to_string(dim));
+    }
+}
+
+TEST(FeatureSpaceKnn, ClampsKAtCandidateCount)
+{
+    const auto queries = normalFeatures(13, 5, 301);
+    const auto cands = normalFeatures(11, 5, 302);
+    expectMatchesScan(queries, cands, 5, 11, "k == N");
+    expectMatchesScan(queries, cands, 5, 40, "k > N");
+    const auto lists = BruteForceKnn::searchFeatureSpace(queries, cands, 5, 40);
+    EXPECT_EQ(lists.k, 11u);
+    for (std::size_t q = 0; q < lists.queries(); ++q) {
+        const auto row = lists.row(q);
+        const std::set<std::uint32_t> distinct(row.begin(), row.end());
+        EXPECT_EQ(distinct.size(), 11u);
+    }
+}
+
+TEST(FeatureSpaceKnn, DuplicatesAndTiesKeepScanOrder)
+{
+    // Integer lattice features: hundreds of exactly equal distances per
+    // query, plus exact duplicate rows, so every tie-break is exercised.
+    for (const std::size_t dim : {3u, 16u}) {
+        Rng rng(400 + dim);
+        std::vector<float> f(90 * dim);
+        for (auto &v : f) {
+            v = static_cast<float>(rng.nextBelow(3));
+        }
+        // Rows 60.. repeat rows 0.. exactly.
+        std::copy(f.begin(), f.begin() + 30 * dim, f.begin() + 60 * dim);
+        expectMatchesScan(f, f, dim, 12, "lattice dim " + std::to_string(dim));
+    }
+}
+
+TEST(FeatureSpaceKnn, LargeCommonOffset)
+{
+    // |q|^2 + |c|^2 - 2 q.c cancels catastrophically once every feature
+    // sits near 1e3; the rounding margin scales with (|q| + max|c|)^2.
+    for (const std::size_t dim : {16u, 64u}) {
+        auto f = normalFeatures(97, dim, 500 + dim);
+        for (auto &v : f) {
+            v += 1e3f;
+        }
+        expectMatchesScan(f, f, dim, 10, "offset dim " + std::to_string(dim));
+    }
+}
+
+TEST(FeatureSpaceKnn, NonFiniteRowsBehaveLikeScan)
+{
+    const std::size_t dim = 8;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    auto f = normalFeatures(64, dim, 601);
+    f[1 * dim + 3] = nan;  // inside the first k: freezes the scan's heap
+    f[30 * dim + 0] = nan; // after the heap filled: never admitted
+    f[40 * dim + 5] = inf;
+    f[41 * dim + 2] = -inf;
+    f[50 * dim + 1] = 1e30f; // finite, but its square overflows
+    expectMatchesScan(f, f, dim, 6, "non-finite candidates and queries");
+
+    const auto clean = normalFeatures(64, dim, 602);
+    auto q = normalFeatures(5, dim, 603);
+    q[2 * dim + 4] = nan;
+    q[3 * dim + 0] = inf;
+    q[4 * dim + 7] = 3e20f;
+    expectMatchesScan(q, clean, dim, 6, "non-finite queries");
+
+    // Finite features whose squared norms overflow while the distances
+    // between them stay finite: |q|^2 and 2 q.c round to inf, yet the
+    // scan keeps admitting the ever closer candidates past the first
+    // panel. Rows like these must skip the filter.
+    std::vector<float> huge;
+    for (std::size_t c = 0; c < 40; ++c) {
+        const float v = 1.2e19f + static_cast<float>(c) * 2e16f;
+        huge.insert(huge.end(), {v, v});
+    }
+    const std::vector<float> hq = {1.31e19f, 1.31e19f, 1.25e19f, 1.25e19f};
+    expectMatchesScan(hq, huge, 2, 4, "overflowing norms");
+    expectMatchesScan(huge, huge, 2, 4, "overflowing norms, self");
 }
 
 TEST(BallQuery, FindsPointsInsideRadius)

@@ -50,8 +50,12 @@ TEST(Tracer, RingWrapDropsOldestAndCounts)
     Tracer tracer(8);
     tracer.setEnabled(true);
     for (int i = 0; i < 20; ++i) {
-        tracer.recordManual("s" + std::to_string(i), "test",
-                            static_cast<std::uint64_t>(i * 10), 1, 0, 0);
+        // Appended, not "s" + to_string(i): GCC 12 misreports that
+        // operator+ as an overlapping memcpy (-Wrestrict).
+        std::string name = "s";
+        name += std::to_string(i);
+        tracer.recordManual(name, "test", static_cast<std::uint64_t>(i * 10),
+                            1, 0, 0);
     }
     const auto spans = tracer.snapshot();
     EXPECT_EQ(spans.size(), 8u);
@@ -168,7 +172,7 @@ TEST(Metrics, HistogramRejectsUnsortedBounds)
     const double unsorted[] = {10.0, 1.0};
     EXPECT_THROW(Histogram h(unsorted), EdgePcException);
     const double empty[] = {1.0};
-    EXPECT_NO_THROW(Histogram h2(std::span<const double>(empty)));
+    EXPECT_NO_THROW(Histogram h2{std::span<const double>(empty)});
 }
 
 TEST(Metrics, RegistryReturnsStableReferences)

@@ -62,6 +62,17 @@ countedAlignedAlloc(std::size_t size, std::size_t align)
     return p;
 }
 
+/**
+ * The one release path. Kept out of line: a replacement delete inlined
+ * into a caller would put free() next to that caller's operator new,
+ * which GCC reports as a mismatched pair (-Wmismatched-new-delete).
+ */
+__attribute__((noinline)) void
+countedFree(void *p)
+{
+    std::free(p);
+}
+
 } // namespace
 
 // Counting replacements for every allocating form. Deallocation is
@@ -136,63 +147,63 @@ operator new[](std::size_t size, std::align_val_t align,
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete(void *p, std::align_val_t, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, std::align_val_t,
                   const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace edgepc {
@@ -383,6 +394,35 @@ snapshot()
             g_heapBytes.load(std::memory_order_relaxed)};
 }
 
+/**
+ * Give every pool thread's arena (and the caller's) a first block big
+ * enough for the kernels below. parallelFor hands chunks to whichever
+ * threads wake first, so a worker that sat out the warm-up calls would
+ * otherwise grow its arena inside the measured call. Each chunk here
+ * waits until all of them have started, so every thread runs exactly
+ * one.
+ */
+void
+warmPoolArenas()
+{
+    constexpr std::size_t kWarmBytes = 1 << 20;
+    ThreadPool &pool = ThreadPool::globalPool();
+    const std::size_t threads = pool.concurrency();
+    std::atomic<std::size_t> started{0};
+    pool.parallelFor(
+        0, threads,
+        [&](std::size_t) {
+            ScratchArena &arena = ScratchArena::local();
+            const ScratchArena::Frame frame(arena);
+            static_cast<void>(arena.alloc<std::byte>(kWarmBytes));
+            started.fetch_add(1);
+            while (started.load() < threads) {
+                std::this_thread::yield();
+            }
+        },
+        1);
+}
+
 TEST(ScratchArenaZeroAlloc, BruteForceSteadyState)
 {
     const auto pts = randomCloud(2048, 11);
@@ -392,6 +432,7 @@ TEST(ScratchArenaZeroAlloc, BruteForceSteadyState)
         const auto ignored = knn.search(queries, pts, 16);
         static_cast<void>(ignored);
     }
+    warmPoolArenas();
     const SteadyState before = snapshot();
     const auto out = knn.search(queries, pts, 16);
     const SteadyState delta = deltaOf(before);
@@ -409,6 +450,7 @@ TEST(ScratchArenaZeroAlloc, BallQuerySteadyState)
         const auto ignored = ball.search(queries, pts, 16);
         static_cast<void>(ignored);
     }
+    warmPoolArenas();
     const SteadyState before = snapshot();
     const auto out = ball.search(queries, pts, 16);
     const SteadyState delta = deltaOf(before);
@@ -427,6 +469,7 @@ TEST(ScratchArenaZeroAlloc, MortonWindowSteadyState)
         const auto ignored = search.searchAll(pts, s, 16);
         static_cast<void>(ignored);
     }
+    warmPoolArenas();
     const SteadyState before = snapshot();
     const auto out = search.searchAll(pts, s, 16);
     const SteadyState delta = deltaOf(before);
@@ -457,6 +500,7 @@ TEST(ScratchArenaZeroAlloc, GemmSteadyState)
     for (int warm = 0; warm < 2; ++warm) {
         engine.gemm(a.data(), b.data(), c.data(), m, k, n);
     }
+    warmPoolArenas();
     const SteadyState before = snapshot();
     engine.gemm(a.data(), b.data(), c.data(), m, k, n);
     const SteadyState delta = deltaOf(before);
@@ -483,6 +527,7 @@ TEST(ScratchArenaZeroAlloc, TransposedGemmDoesNotMaterializeTranspose)
         const auto ignored = engine.multiplyLeftTransposed(a, b);
         static_cast<void>(ignored);
     }
+    warmPoolArenas();
     const SteadyState before = snapshot();
     const auto out = engine.multiplyLeftTransposed(a, b);
     const SteadyState delta = deltaOf(before);
@@ -490,6 +535,40 @@ TEST(ScratchArenaZeroAlloc, TransposedGemmDoesNotMaterializeTranspose)
     EXPECT_LT(delta.bytes, 64u * 1024u);
     EXPECT_EQ(out.rows(), 8u);
     EXPECT_EQ(out.cols(), 16u);
+}
+
+/**
+ * Exact feature-space k-NN streams the query x candidate dot products
+ * tile by tile: per-query heaps, norms and packed panels come from the
+ * arenas, and no distance matrix exists. A warm call's heap traffic is
+ * the output lists plus control blocks; one 512 x 2048 distance matrix
+ * (or a 512-row block of one) would be 4 MiB.
+ */
+TEST(ScratchArenaZeroAlloc, FeatureSpaceKnnSteadyState)
+{
+    const std::size_t dim = 32, nc = 2048, k = 16;
+    Rng rng(61);
+    std::vector<float> cands(nc * dim), queries(kQueries * dim);
+    for (auto &v : cands) {
+        v = rng.normal();
+    }
+    for (auto &v : queries) {
+        v = rng.normal();
+    }
+    for (int warm = 0; warm < 2; ++warm) {
+        const auto ignored =
+            BruteForceKnn::searchFeatureSpace(queries, cands, dim, k);
+        static_cast<void>(ignored);
+    }
+    warmPoolArenas();
+    const SteadyState before = snapshot();
+    const auto out = BruteForceKnn::searchFeatureSpace(queries, cands, dim, k);
+    const SteadyState delta = deltaOf(before);
+    EXPECT_EQ(delta.grows, 0u);
+    EXPECT_LE(delta.allocs, kPerCallAllocBudget);
+    EXPECT_LE(delta.bytes,
+              kQueries * k * sizeof(std::uint32_t) + 16u * 1024u);
+    EXPECT_EQ(out.queries(), kQueries);
 }
 
 TEST(ScratchArenaZeroAlloc, FpsSteadyState)
@@ -500,6 +579,7 @@ TEST(ScratchArenaZeroAlloc, FpsSteadyState)
         const auto ignored = fps.sample(pts, 256);
         static_cast<void>(ignored);
     }
+    warmPoolArenas();
     const SteadyState before = snapshot();
     const auto out = fps.sample(pts, 256);
     const SteadyState delta = deltaOf(before);
