@@ -90,22 +90,28 @@ class StageTimer
      *
      * Every scoped stage also emits a "stage"-category span on the
      * global tracer, so the figure benches can rebuild the paper's
-     * per-stage breakdown from span data alone (DESIGN.md §8).
+     * per-stage breakdown from span data alone (DESIGN.md §8). A null
+     * @p timer still opens the span but records no duration.
      */
     class ScopedStage
     {
       public:
-        ScopedStage(StageTimer &timer, std::string stage)
+        ScopedStage(StageTimer *timer, std::string stage)
             : owner(timer), name(std::move(stage)), span(name, "stage")
         {
         }
-        ~ScopedStage() { owner.add(name, watch.elapsedMs()); }
+        ~ScopedStage()
+        {
+            if (owner != nullptr) {
+                owner->add(name, watch.elapsedMs());
+            }
+        }
 
         ScopedStage(const ScopedStage &) = delete;
         ScopedStage &operator=(const ScopedStage &) = delete;
 
       private:
-        StageTimer &owner;
+        StageTimer *owner;
         std::string name;
         obs::TraceScope span;
         Timer watch;

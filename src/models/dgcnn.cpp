@@ -200,14 +200,12 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
     }
 
     ecOutputs.assign(ecBlocks.size(), nn::Matrix{});
-    StageTimer dummy;
-    StageTimer &t = timer ? *timer : dummy;
 
     for (std::size_t m = 0; m < ecBlocks.size(); ++m) {
         EcBlock &block = ecBlocks[m];
         NeighborLists neighbors;
         {
-            StageTimer::ScopedStage scope(t, kStageNeighbor);
+            StageTimer::ScopedStage scope(timer, kStageNeighbor);
             neighbors = searchNeighbors(m, config, cloud.positions(),
                                         features, cache);
         }
@@ -227,7 +225,7 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
             nn::resolveDelayedAgg(cfg.delayedAggregation,
                                   nn::edgeDelayedFlopRatio(k_eff));
         if (block.delayedActive) {
-            StageTimer::ScopedStage scope(t, kStageFeature);
+            StageTimer::ScopedStage scope(timer, kStageFeature);
             const nn::Matrix pre = nn::delayedEdgeFirstLinear(
                 features, neighbors, lin0->weights().value,
                 lin0->biases().value, nn::GemmEngine::globalEngine(),
@@ -242,12 +240,12 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
 
         nn::Matrix edges;
         {
-            StageTimer::ScopedStage scope(t, kStageGroup);
+            StageTimer::ScopedStage scope(timer, kStageGroup);
             block.edge.setNeighbors(std::move(neighbors));
             edges = block.edge.forward(features, train);
         }
         {
-            StageTimer::ScopedStage scope(t, kStageFeature);
+            StageTimer::ScopedStage scope(timer, kStageFeature);
             const nn::Matrix activated = block.mlp.forward(edges, train);
             block.pool =
                 std::make_unique<nn::MaxPoolNeighbors>(k_eff);
@@ -256,7 +254,7 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         features = ecOutputs[m];
     }
 
-    StageTimer::ScopedStage scope(t, kStageFeature);
+    StageTimer::ScopedStage scope(timer, kStageFeature);
     nn::Matrix concat = ecOutputs[0];
     for (std::size_t m = 1; m < ecOutputs.size(); ++m) {
         concat = nn::concatCols(concat, ecOutputs[m]);

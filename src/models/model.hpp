@@ -69,9 +69,10 @@ class PointCloudModel
      * order). The default implementation loops infer(); models may
      * override with a lockstep batched path that stacks the
      * feature-compute stage across clouds so the GEMM runs at large M
-     * (the serving engine's cross-stream micro-batching hook). An
-     * override must match per-cloud infer() numerics up to GEMM-path
-     * float reassociation.
+     * (the serving engine's cross-stream micro-batching hook). With
+     * int8 inference off, an override must return each cloud's
+     * per-cloud infer() logits bit for bit (int8 activation scales
+     * are per stacked tensor, so batching may change them there).
      */
     virtual std::vector<nn::Matrix>
     inferBatch(std::span<const PointCloud> clouds, const EdgePcConfig &cfg,
@@ -87,11 +88,12 @@ class PointCloudModel
 
     /**
      * True when the model implements a real three-way stage split for
-     * the staged executor (core/staged_pipeline.hpp). The default
-     * staged* implementations below fall back to whole-frame infer()
-     * inside the feature stage, which is always correct (the staged
-     * executor calls the feature stage from a single thread at a
-     * time) but overlaps nothing.
+     * the staged executor (core/staged_pipeline.hpp); PointNet++'s
+     * staged* hooks are the three stages of its one inference route.
+     * The default staged* implementations below fall back to
+     * whole-frame infer() inside the feature stage, which is always
+     * correct (the staged executor calls the feature stage from a
+     * single thread at a time) but overlaps nothing.
      */
     virtual bool supportsStagedInfer() const { return false; }
 

@@ -73,9 +73,7 @@ PointNet::forward(const PointCloud &cloud, const EdgePcConfig &config,
     const std::size_t n = cloud.size();
     savedPoints = n;
 
-    StageTimer dummy;
-    StageTimer &t = timer ? *timer : dummy;
-    StageTimer::ScopedStage scope(t, kStageFeature);
+    StageTimer::ScopedStage scope(timer, kStageFeature);
 
     nn::Matrix coords(n, 3);
     for (std::size_t i = 0; i < n; ++i) {

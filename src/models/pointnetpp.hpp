@@ -130,7 +130,28 @@ struct PointNetPPConfig
                                                std::size_t num_classes);
 };
 
-/** PointNet++ with selectable baseline / EdgePC kernels. */
+/**
+ * PointNet++ with selectable baseline / EdgePC kernels.
+ *
+ * Inference has one route (DESIGN.md §14), built from three stages over
+ * a per-cloud Frame:
+ *  - sample: input checks, then the whole sampling chain and the FP
+ *    up-sample plans (every SA level's sample set depends only on
+ *    positions, which derive from the previous level's samples);
+ *  - neighbor: every SA module's neighbor search;
+ *  - feature: group + shared MLP + pool + FP + head over a span of
+ *    frames, row-stacked so each GEMM runs once at tall M. BatchNorm
+ *    keeps per-cloud statistics and the delayed-aggregation route is
+ *    chosen per cloud, so (with int8 off) a cloud's logits are
+ *    bit-identical whatever batch it rides in.
+ * infer() is the route on a batch of one, inferBatch() on the whole
+ * batch, and the staged* hooks run one stage each for the staged
+ * executor. The route keeps all per-cloud state in its frames and
+ * never writes the training state (trainFrame, fpFeatures, layer
+ * caches), so frames in different stages share nothing.
+ * forward(train=true) is the only other path; it reuses the sample
+ * and neighbor stages and keeps the caches backward() needs.
+ */
 class PointNetPP : public TrainableModel
 {
   public:
@@ -143,34 +164,10 @@ class PointNetPP : public TrainableModel
     nn::Matrix infer(const PointCloud &cloud, const EdgePcConfig &cfg,
                      StageTimer *timer = nullptr) override;
 
-    /**
-     * Lockstep batched inference: each cloud runs its own sample /
-     * neighbor-search / grouping stages (per-cloud geometry cannot be
-     * merged), but the shared-MLP feature compute runs once over the
-     * row-stacked batch via Sequential::forwardSegmented, so the
-     * packed GEMM sees a tall M instead of B skinny calls. BatchNorm
-     * segments keep per-cloud instance statistics, so each cloud's
-     * logits match single-cloud infer() up to GEMM-path float
-     * reassociation. Does not touch the training-state members
-     * (levels / fpFeatures / layer caches).
-     */
     std::vector<nn::Matrix> inferBatch(std::span<const PointCloud> clouds,
                                        const EdgePcConfig &cfg,
                                        StageTimer *timer = nullptr) override;
 
-    /**
-     * Real three-way stage split for the staged executor
-     * (core/staged_pipeline.hpp). The key structural fact: every SA
-     * level's sample set depends only on positions, which derive from
-     * the previous level's sample indices — so the whole sampling
-     * chain (and the FP up-sample plans, which read only positions /
-     * structurizations) runs in the sample stage, all neighbor
-     * searches in the neighbor stage, and the gather + GEMM + pool +
-     * FP-apply + head in the feature stage. The feature stage uses
-     * the same stateless free-function route as inferBatch (never the
-     * gather/pool/interp layer members), so per-frame logits match
-     * sequential infer() and concurrent frames never share state.
-     */
     bool supportsStagedInfer() const override { return true; }
     std::unique_ptr<StagedFrame> makeStagedFrame() override;
     void stagedSample(StagedFrame &frame, const PointCloud &cloud,
@@ -183,9 +180,10 @@ class PointNetPP : public TrainableModel
                              StageTimer *timer) override;
 
     /**
-     * Forward pass keeping intermediates when @p train is true.
-     * Returns per-point logits (N x classes) for segmentation or a
-     * single-row logit matrix for classification.
+     * Forward pass keeping intermediates when @p train is true;
+     * forward(train=false) is infer(). Returns per-point logits
+     * (N x classes) for segmentation or a single-row logit matrix for
+     * classification.
      */
     nn::Matrix forward(const PointCloud &cloud, const EdgePcConfig &cfg,
                        StageTimer *timer, bool train);
@@ -209,7 +207,6 @@ class PointNetPP : public TrainableModel
   private:
     struct SaBlock
     {
-        SaConfig conf;
         nn::Sequential mlp;
         nn::GroupingLayer gather;
         std::unique_ptr<nn::MaxPoolNeighbors> pool;
@@ -221,12 +218,11 @@ class PointNetPP : public TrainableModel
 
     struct FpBlock
     {
-        FpConfig conf;
         nn::Sequential mlp;
         nn::InterpolateLayer interp;
     };
 
-    /** Per-level activations saved across a forward pass. */
+    /** One level of the SA hierarchy for one cloud. */
     struct LevelState
     {
         std::vector<Vec3> positions;
@@ -234,43 +230,40 @@ class PointNetPP : public TrainableModel
         std::vector<std::uint32_t> sampleIndices;
         Structurization structur;
         bool mortonSampled = false;
-        std::size_t groupedFeatureDim = 0; ///< C_i fed to SA grouping.
     };
 
-    void runSaModule(std::size_t module, const EdgePcConfig &cfg,
-                     StageTimer *timer, bool train);
-    void runFpModule(std::size_t module, const EdgePcConfig &cfg,
-                     StageTimer *timer, bool train);
+    /**
+     * One cloud's pass through the route, handed from stage to stage.
+     * All members are frame-local heap state (no arena views, no
+     * references into the model), so the staged executor may queue a
+     * frame or run it on any worker while other frames occupy the
+     * other stages.
+     */
+    struct Frame : StagedFrame
+    {
+        std::vector<LevelState> levels;
+        std::vector<NeighborLists> neighbors; ///< Per SA module.
+        std::vector<InterpolationPlan> plans; ///< Per FP module.
 
-    /** Per-frame context of the staged split (defined in the .cpp). */
-    struct StagedState;
+        void reset() override;
+    };
 
-    /** SA sample stage on @p cur: structurize + sample (or FPS),
-        filling cur.sampleIndices / structur / mortonSampled. */
-    void saSampleStage(std::size_t module, const EdgePcConfig &cfg,
-                       StageTimer *timer, LevelState &cur) const;
+    /** Sample stage: check @p cloud, fill @p frame's levels
+        (positions, samples, structurizations) and FP plans. */
+    void sampleStage(Frame &frame, const PointCloud &cloud,
+                     const EdgePcConfig &cfg, StageTimer *timer) const;
 
-    /** SA neighbor-search stage on @p cur (builds a structurization
-        itself when the sampler didn't leave one to reuse). */
-    NeighborLists saNeighborStage(std::size_t module,
-                                  const EdgePcConfig &cfg,
-                                  StageTimer *timer,
-                                  LevelState &cur) const;
+    /** Neighbor stage: every SA module's neighbor lists. */
+    void neighborStage(Frame &frame, const EdgePcConfig &cfg,
+                       StageTimer *timer) const;
 
-    /** SA sample + neighbor-search stages on @p cur (shared by the
-        single-cloud and batched paths; @p cur need not be a member
-        LevelState). */
-    NeighborLists saSampleAndSearch(std::size_t module,
-                                    const EdgePcConfig &cfg,
-                                    StageTimer *timer, LevelState &cur);
+    /** Feature stage over the row-stacked @p frames; logits per frame. */
+    std::vector<nn::Matrix> featureStage(std::span<Frame> frames,
+                                         StageTimer *timer);
 
-    /** FP up-sampling plan for propagating level @p fine_index + 1
-        down to @p fine_index (shared by both paths). */
-    InterpolationPlan fpUpsamplePlan(std::size_t fine_index,
-                                     const EdgePcConfig &cfg,
-                                     StageTimer *timer,
-                                     const LevelState &fine_level,
-                                     const LevelState &coarse_level) const;
+    /** Training route, one module at a time over trainFrame. */
+    void runSaModule(std::size_t module, StageTimer *timer);
+    void runFpModule(std::size_t module, StageTimer *timer);
 
     PointNetPPConfig cfg;
     std::vector<SaBlock> saBlocks;
@@ -278,8 +271,8 @@ class PointNetPP : public TrainableModel
     nn::Sequential head;
     nn::GlobalMaxPool globalPool;
 
-    // Forward state.
-    std::vector<LevelState> levels;
+    // Training forward state.
+    Frame trainFrame;
     std::vector<nn::Matrix> fpFeatures; ///< G_l per level.
     bool trainMode = false;
 };

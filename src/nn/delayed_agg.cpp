@@ -7,6 +7,7 @@
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/feature_merge.hpp"
 #include "nn/grouping.hpp"
 
 namespace edgepc {
@@ -41,37 +42,6 @@ modeState()
 {
     static std::atomic<DelayedAggMode> state{initialModeFromEnv()};
     return state;
-}
-
-/** Broadcast-add @p bias over the rows of @p m (the split-epilogue
-    bias pass; the fused path adds it in the GEMM tile store). */
-void
-addBiasRows(Matrix &m, const Matrix &bias)
-{
-    const float *b = bias.data();
-    parallelFor(0, m.rows(), [&](std::size_t r) {
-        float *row = m.data() + r * m.cols();
-        for (std::size_t c = 0; c < m.cols(); ++c) {
-            row[c] += b[c];
-        }
-    });
-}
-
-/** X * W (+ bias), honoring the process-wide epilogue-fusion toggle so
-    the delayed route sees the same EDGEPC_GEMM_EPILOGUE matrix as the
-    eager Linear::forward. */
-Matrix
-linearNoSave(const Matrix &x, const Matrix &weight, const Matrix &bias,
-             GemmEngine &engine)
-{
-    if (bias.numel() > 0 && GemmEngine::fusedEpilogues()) {
-        return engine.multiply(x, weight, GemmEpilogue::Bias, bias);
-    }
-    Matrix out = engine.multiply(x, weight);
-    if (bias.numel() > 0) {
-        addBiasRows(out, bias);
-    }
-    return out;
 }
 
 /** The N x (3+C) [p | f] matrix phi runs on. */
@@ -266,7 +236,7 @@ delayedSaFirstLinear(std::span<const Vec3> positions,
     // phi = [p | f] W + b over the N unique points (the bias rides in
     // phi so the combine applies it exactly once per grouped row).
     const Matrix unified = buildUnifiedRows(positions, features);
-    const Matrix phi = linearNoSave(unified, weight, bias, engine);
+    const Matrix phi = exactLinear(unified, weight, bias, engine);
 
     // psi = p_center W_pos over the n sampled centers.
     const Matrix centers = buildCenterRows(positions, sample_indices);
@@ -356,7 +326,7 @@ delayedSaSingleStageInfer(std::span<const Vec3> positions,
     const std::size_t c_out = weight.cols();
 
     const Matrix unified = buildUnifiedRows(positions, features);
-    const Matrix phi = linearNoSave(unified, weight, bias, engine);
+    const Matrix phi = exactLinear(unified, weight, bias, engine);
     const Matrix centers = buildCenterRows(positions, sample_indices);
     const Matrix w_pos = weightRowSlab(weight, 0, 3);
     const Matrix psi = engine.multiply(centers, w_pos);
@@ -412,8 +382,8 @@ delayedEdgeFirstLinear(const Matrix &features,
         }
     }
     const Matrix w_diff = weightRowSlab(weight, c, 2 * c);
-    const Matrix psi = linearNoSave(features, w_self_minus_diff, bias,
-                                    engine);
+    const Matrix psi = exactLinear(features, w_self_minus_diff, bias,
+                                   engine);
     const Matrix phi = engine.multiply(features, w_diff);
 
     Matrix pre(n * k, c_out);

@@ -96,32 +96,6 @@ pathState()
     return state;
 }
 
-bool
-initialFusedFromEnv()
-{
-    const char *env = std::getenv("EDGEPC_GEMM_EPILOGUE");
-    if (env == nullptr) {
-        return true;
-    }
-    const std::string_view v(env);
-    if (v == "split") {
-        return false;
-    }
-    if (v != "fused") {
-        warn("EDGEPC_GEMM_EPILOGUE=%s not understood (want fused|split); "
-             "using fused",
-             env);
-    }
-    return true;
-}
-
-std::atomic<bool> &
-fusedState()
-{
-    static std::atomic<bool> state{initialFusedFromEnv()};
-    return state;
-}
-
 /**
  * Pack one B column panel (kNR columns starting at panel * kNR) into
  * panel-major layout: dst[kk * kNR + jj], zero-padded to kNR columns so
@@ -1687,24 +1661,6 @@ GemmEngine::int8KernelName()
         return "scalar-int8";
     }
     return int8Available() ? "avx2-int8" : "scalar-int8";
-}
-
-bool
-GemmEngine::fusedEpilogues()
-{
-    return fusedState().load(std::memory_order_relaxed);
-}
-
-void
-GemmEngine::setFusedEpilogues(bool fused)
-{
-    fusedState().store(fused, std::memory_order_relaxed);
-}
-
-const char *
-GemmEngine::epilogueModeName()
-{
-    return fusedEpilogues() ? "fused" : "split";
 }
 
 } // namespace nn

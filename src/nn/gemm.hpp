@@ -29,9 +29,7 @@
  * EDGEPC_GEMM=scalar|fast|auto environment variable (read once at
  * startup) or GemmEngine::setDispatchPath() force either microkernel
  * build process-wide for A/B runs and bit-exactness tests, without
- * touching the per-engine CUDA/Tensor-core policy. The
- * EDGEPC_GEMM_EPILOGUE=fused|split variable (or setFusedEpilogues())
- * toggles epilogue fusion for the layers that adopt it.
+ * touching the per-engine CUDA/Tensor-core policy.
  */
 
 #ifndef EDGEPC_NN_GEMM_HPP
@@ -236,20 +234,6 @@ class GemmEngine
      * config.gemm_int8_kernel.
      */
     static const char *int8KernelName();
-
-    // ---- process-wide epilogue fusion toggle
-
-    /**
-     * Whether layers should fuse bias/ReLU epilogues into the GEMM
-     * store (default true; EDGEPC_GEMM_EPILOGUE=split disables it for
-     * A/B runs). The GEMM itself always honours an explicit epilogue
-     * argument — this toggle only steers the call sites.
-     */
-    static bool fusedEpilogues();
-    static void setFusedEpilogues(bool fused);
-
-    /** "fused" or "split" — echoed as config.gemm_epilogue. */
-    static const char *epilogueModeName();
 
   private:
     /**

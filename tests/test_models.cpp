@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "core/staged_pipeline.hpp"
 #include "datasets/scenes.hpp"
 #include "datasets/shapes.hpp"
 #include "models/dgcnn.hpp"
 #include "models/pointnetpp.hpp"
+#include "nn/delayed_agg.hpp"
+#include "nn/gemm.hpp"
 #include "nn/quant.hpp"
 
 namespace edgepc {
@@ -191,6 +196,140 @@ TEST(PointNetPP, DelayedAggregationMatchesEagerSegmentation)
          {EdgePcConfig::baseline(), EdgePcConfig::sn()}) {
         expectLogitsNear(eager.infer(cloud, config),
                          delayed.infer(cloud, config), 5e-3f);
+    }
+}
+
+// ------------------------------------------------ one inference route
+
+/** Restores the process-wide GEMM dispatch path and delayed-aggregation
+    override on scope exit. */
+class RouteDispatchGuard
+{
+  public:
+    ~RouteDispatchGuard()
+    {
+        nn::GemmEngine::setDispatchPath(gemm);
+        nn::setDelayedAggMode(agg);
+    }
+
+  private:
+    nn::GemmDispatchPath gemm = nn::GemmEngine::dispatchPath();
+    nn::DelayedAggMode agg = nn::delayedAggMode();
+};
+
+PointCloud
+sceneCloud(std::size_t points, std::uint64_t seed)
+{
+    Rng rng(seed);
+    SceneOptions options;
+    options.points = points;
+    return makeScene(options, rng);
+}
+
+void
+expectIdentical(const nn::Matrix &got, const nn::Matrix &want,
+                const std::string &what)
+{
+    ASSERT_EQ(got.rows(), want.rows()) << what;
+    ASSERT_EQ(got.cols(), want.cols()) << what;
+    for (std::size_t i = 0; i < want.numel(); ++i) {
+        ASSERT_EQ(got.data()[i], want.data()[i])
+            << what << " diverges at flat index " << i;
+    }
+}
+
+/**
+ * infer, inferBatch (of one and of many), forward(train=false) and the
+ * staged executor all run the same segmented feature stage, so their
+ * logits must be equal bit for bit — no tolerance. The batch mixes two
+ * scenes with a small outlier, so under Auto the per-cloud delayed
+ * decision splits one batch across the eager and delayed routes. Int8
+ * stays off: its activation scale is per stacked tensor, so batching
+ * legitimately changes logits there.
+ */
+TEST(PointNetPPRoute, EveryEntryPointGivesIdenticalLogits)
+{
+    QuantOffGuard quant;
+    RouteDispatchGuard dispatch;
+    const std::vector<PointCloud> clouds = {
+        sceneCloud(192, 31), sceneCloud(160, 32), sceneCloud(24, 33)};
+    const struct
+    {
+        const char *name;
+        PointNetPPConfig config;
+    } models[] = {
+        {"lite-seg", PointNetPPConfig::liteSegmentation(192, 5)},
+        {"lite-cls", PointNetPPConfig::liteClassification(192, 4)},
+    };
+    const struct
+    {
+        const char *name;
+        EdgePcConfig cfg;
+    } variants[] = {
+        {"baseline", EdgePcConfig::baseline()},
+        {"sn", EdgePcConfig::sn()},
+        {"snf", EdgePcConfig::snf()},
+    };
+    const nn::DelayedAggMode agg_modes[] = {
+        nn::DelayedAggMode::Off,
+        nn::DelayedAggMode::On,
+        nn::DelayedAggMode::Auto,
+    };
+    const nn::GemmDispatchPath gemm_paths[] = {
+        nn::GemmDispatchPath::ForceScalar,
+        nn::GemmDispatchPath::Auto,
+    };
+
+    for (const auto &m : models) {
+        PointNetPP model(m.config, 3);
+        StagedPipeline staged(model);
+        for (const auto &variant : variants) {
+            for (const nn::DelayedAggMode agg : agg_modes) {
+                for (const nn::GemmDispatchPath gemm : gemm_paths) {
+                    nn::setDelayedAggMode(agg);
+                    nn::GemmEngine::setDispatchPath(gemm);
+                    const std::string tag =
+                        std::string(m.name) + " / " + variant.name +
+                        " / delayed_agg=" + nn::delayedAggModeName() +
+                        " / gemm=" +
+                        (gemm == nn::GemmDispatchPath::ForceScalar
+                             ? "scalar"
+                             : "auto");
+
+                    // Drain the staged executor before driving the
+                    // model from this thread.
+                    for (const PointCloud &cloud : clouds) {
+                        ASSERT_TRUE(staged.trySubmit(cloud, variant.cfg));
+                    }
+                    std::vector<StagedFrameResult> frames;
+                    for (std::size_t b = 0; b < clouds.size(); ++b) {
+                        frames.push_back(staged.collect());
+                    }
+                    const std::vector<nn::Matrix> batch =
+                        model.inferBatch(clouds, variant.cfg);
+                    ASSERT_EQ(batch.size(), clouds.size()) << tag;
+                    for (std::size_t b = 0; b < clouds.size(); ++b) {
+                        const std::string what =
+                            tag + " / cloud " + std::to_string(b);
+                        const nn::Matrix ref =
+                            model.infer(clouds[b], variant.cfg);
+                        ASSERT_FALSE(frames[b].failed) << what;
+                        expectIdentical(frames[b].logits, ref,
+                                        what + " / staged");
+                        expectIdentical(
+                            model.inferBatch({&clouds[b], 1}, variant.cfg)
+                                .front(),
+                            ref, what + " / inferBatch of one");
+                        expectIdentical(batch[b], ref,
+                                        what + " / inferBatch");
+                        expectIdentical(model.forward(clouds[b],
+                                                      variant.cfg, nullptr,
+                                                      false),
+                                        ref, what + " / forward");
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -302,7 +302,7 @@ TEST(InferBatch, MatchesPerFrameSegmentation)
         ASSERT_EQ(batched[b].cols(), ref[b].cols());
         for (std::size_t i = 0; i < ref[b].rows(); ++i) {
             for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-                EXPECT_NEAR(batched[b].at(i, c), ref[b].at(i, c), 5e-3)
+                EXPECT_EQ(batched[b].at(i, c), ref[b].at(i, c))
                     << "cloud " << b << " row " << i << " col " << c;
             }
         }
@@ -328,25 +328,15 @@ TEST(InferBatch, MatchesPerFrameClassification)
         ASSERT_EQ(batched[b].rows(), 1u);
         ASSERT_EQ(batched[b].cols(), ref[b].cols());
         for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-            EXPECT_NEAR(batched[b].at(0, c), ref[b].at(0, c), 5e-3);
+            EXPECT_EQ(batched[b].at(0, c), ref[b].at(0, c));
         }
     }
-}
-
-TEST(InferBatch, SingleCloudFallsBackToInfer)
-{
-    PointNetPP model(PointNetPPConfig::liteSegmentation(kPoints, 5), 3);
-    const std::vector<PointCloud> clouds = makeStream(1, 303);
-    const std::vector<nn::Matrix> batched =
-        model.inferBatch(clouds, EdgePcConfig::sn());
-    ASSERT_EQ(batched.size(), 1u);
-    EXPECT_TRUE(logitsFinite(batched[0]));
 }
 
 // Delayed aggregation (DESIGN.md §13) must stay transparent to the
 // serving micro-batch route: inferBatch decides delayed-vs-eager per
 // cloud with the same formula as single-cloud infer, so batched and
-// per-frame logits must agree. Named Serving* so the TSan CI gate
+// per-frame logits must be identical. Named Serving* so the TSan CI gate
 // runs these under the thread sanitizer.
 
 TEST(ServingDelayedAgg, InferBatchMatchesPerFrameSegmentation)
@@ -371,7 +361,7 @@ TEST(ServingDelayedAgg, InferBatchMatchesPerFrameSegmentation)
         ASSERT_EQ(batched[b].cols(), ref[b].cols());
         for (std::size_t i = 0; i < ref[b].rows(); ++i) {
             for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-                EXPECT_NEAR(batched[b].at(i, c), ref[b].at(i, c), 5e-3)
+                EXPECT_EQ(batched[b].at(i, c), ref[b].at(i, c))
                     << "cloud " << b << " row " << i << " col " << c;
             }
         }
@@ -402,7 +392,7 @@ TEST(ServingDelayedAgg, InferBatchMatchesPerFrameClassification)
         ASSERT_EQ(batched[b].rows(), 1u);
         ASSERT_EQ(batched[b].cols(), ref[b].cols());
         for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-            EXPECT_NEAR(batched[b].at(0, c), ref[b].at(0, c), 5e-3);
+            EXPECT_EQ(batched[b].at(0, c), ref[b].at(0, c));
         }
     }
 }
@@ -442,7 +432,7 @@ TEST(ServingDelayedAgg, MixedEagerAndDelayedBatchAgrees)
         ASSERT_EQ(batched[b].cols(), ref[b].cols());
         for (std::size_t i = 0; i < ref[b].rows(); ++i) {
             for (std::size_t c = 0; c < ref[b].cols(); ++c) {
-                EXPECT_NEAR(batched[b].at(i, c), ref[b].at(i, c), 5e-3)
+                EXPECT_EQ(batched[b].at(i, c), ref[b].at(i, c))
                     << "cloud " << b << " row " << i << " col " << c;
             }
         }

@@ -67,10 +67,32 @@ TEST(StageTimer, ScopedStageRecords)
 {
     StageTimer t;
     {
-        StageTimer::ScopedStage scope(t, "work");
+        StageTimer::ScopedStage scope(&t, "work");
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     EXPECT_GE(t.total("work"), 3.0);
+}
+
+// A null timer is the "not timing" case of every model entry point:
+// the scope records nothing, but the stage span still reaches the
+// tracer.
+TEST(StageTimer, ScopedStageWithNullTimerOnlyEmitsSpan)
+{
+#if !EDGEPC_TRACING
+    GTEST_SKIP() << "live TraceScope spans compiled out (EDGEPC_TRACING=OFF)";
+#endif
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    {
+        StageTimer::ScopedStage scope(nullptr, "untimed");
+    }
+    tracer.setEnabled(false);
+
+    const auto spans = tracer.snapshot();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].name, "untimed");
+    EXPECT_EQ(spans[0].category, "stage");
 }
 
 TEST(StageTimer, ClearDropsEverything)
