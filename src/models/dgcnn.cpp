@@ -224,6 +224,20 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
             lin0 != nullptr &&
             nn::resolveDelayedAgg(cfg.delayedAggregation,
                                   nn::edgeDelayedFlopRatio(k_eff));
+        nn::TailNorm norm;
+        nn::Activation act;
+        if (block.delayedActive && !train &&
+            block.mlp.normTailFrom(1, lin0->outDim(), norm, act)) {
+            // Single-stage block: pool straight from the two N-row GEMM
+            // outputs; the (n*k)-row pre-activation never exists.
+            StageTimer::ScopedStage scope(timer, kStageFeature);
+            ecOutputs[m] = nn::delayedEdgeConvInfer(
+                features, neighbors, lin0->weights().value,
+                lin0->biases().value, norm, act,
+                nn::GemmEngine::globalEngine());
+            features = ecOutputs[m];
+            continue;
+        }
         if (block.delayedActive) {
             StageTimer::ScopedStage scope(timer, kStageFeature);
             const nn::Matrix pre = nn::delayedEdgeFirstLinear(
@@ -246,10 +260,17 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         }
         {
             StageTimer::ScopedStage scope(timer, kStageFeature);
-            const nn::Matrix activated = block.mlp.forward(edges, train);
-            block.pool =
-                std::make_unique<nn::MaxPoolNeighbors>(k_eff);
-            ecOutputs[m] = block.pool->forward(activated, train);
+            if (train) {
+                const nn::Matrix activated = block.mlp.forward(edges, true);
+                block.pool = std::make_unique<nn::MaxPoolNeighbors>(k_eff);
+                ecOutputs[m] = block.pool->forward(activated, true);
+            } else {
+                const std::size_t rows[] = {edges.rows()};
+                const std::size_t k[] = {k_eff};
+                ecOutputs[m] = std::move(
+                    block.mlp.forwardPooled(std::move(edges), rows, k)
+                        .front());
+            }
         }
         features = ecOutputs[m];
     }
@@ -260,8 +281,15 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         concat = nn::concatCols(concat, ecOutputs[m]);
     }
 
-    const nn::Matrix embedded = embedding.forward(concat, train);
-    const nn::Matrix pooled = globalPool.forward(embedded, train);
+    nn::Matrix pooled;
+    if (train) {
+        pooled = globalPool.forward(embedding.forward(concat, true), true);
+    } else {
+        // The global max-pool reads the raw embedding and only the
+        // pooled row takes the LeakyReLU.
+        const std::size_t rows[] = {n};
+        pooled = std::move(embedding.forwardPooled(concat, rows, rows).front());
+    }
 
     if (isClassifier()) {
         return head.forward(pooled, train);

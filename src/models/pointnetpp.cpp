@@ -286,38 +286,6 @@ PointNetPP::neighborStage(Frame &frame, const EdgePcConfig &config,
     }
 }
 
-namespace {
-
-/** Inference-only neighbor max-pool over a row range of a stacked
-    activation matrix: rows [offset, offset + rows) hold one cloud's
-    groups of @p k rows each, pooled to rows / k output rows. Reading
-    the range in place is what lets the batched path skip the
-    per-cloud sliceRows copy. */
-nn::Matrix
-maxPoolStackedRows(const nn::Matrix &act, std::size_t offset,
-                   std::size_t rows, std::size_t k)
-{
-    const std::size_t points = rows / k;
-    const std::size_t cols = act.cols();
-    nn::Matrix out(points, cols);
-    parallelFor(0, points, [&](std::size_t p) {
-        const float *src = act.data() + (offset + p * k) * cols;
-        float *dst = out.data() + p * cols;
-        std::copy(src, src + cols, dst);
-        for (std::size_t j = 1; j < k; ++j) {
-            const float *row = src + j * cols;
-            for (std::size_t c = 0; c < cols; ++c) {
-                if (row[c] > dst[c]) {
-                    dst[c] = row[c];
-                }
-            }
-        }
-    });
-    return out;
-}
-
-} // namespace
-
 std::vector<nn::Matrix>
 PointNetPP::featureStage(std::span<Frame> frames, StageTimer *timer)
 {
@@ -370,11 +338,14 @@ PointNetPP::featureStage(std::span<Frame> frames, StageTimer *timer)
                         nn::GemmEngine::globalEngine());
                     continue;
                 }
-                const nn::Matrix grouped = nn::groupWithRelativeCoords(
-                    cur.positions, cur.saFeatures, cur.sampleIndices,
-                    neighbors);
-                out = maxPoolStackedRows(block.mlp.forward(grouped, false),
-                                         0, seg_rows[b], neighbors.k);
+                const std::size_t k[] = {neighbors.k};
+                out = std::move(
+                    block.mlp
+                        .forwardPooled(nn::groupWithRelativeCoords(
+                                           cur.positions, cur.saFeatures,
+                                           cur.sampleIndices, neighbors),
+                                       {&seg_rows[b], 1}, k)
+                        .front());
             }
         } else {
             // Stack every cloud's rows into its row range of one matrix,
@@ -427,16 +398,18 @@ PointNetPP::featureStage(std::span<Frame> frames, StageTimer *timer)
                 }
             }
             // The batched payoff: one tall GEMM per MLP stage instead
-            // of `batch` skinny ones, and the per-cloud max-pool reads
-            // its row range of the stacked activation in place.
+            // of `batch` skinny ones, the tail runs in place on the
+            // stack, and each cloud's max-pool reads its row range
+            // before the last BatchNorm + ReLU (DESIGN.md §17).
             StageTimer::ScopedStage scope(timer, kStageFeature);
-            const nn::Matrix activated =
-                block.mlp.forwardSegmented(stacked, seg_rows, first_layer);
-            std::size_t offset = 0;
+            std::vector<std::size_t> group_k(batch);
             for (std::size_t b = 0; b < batch; ++b) {
-                frames[b].levels[i + 1].saFeatures = maxPoolStackedRows(
-                    activated, offset, seg_rows[b], frames[b].neighbors[i].k);
-                offset += seg_rows[b];
+                group_k[b] = frames[b].neighbors[i].k;
+            }
+            std::vector<nn::Matrix> pooled = block.mlp.forwardPooled(
+                std::move(stacked), seg_rows, group_k, first_layer);
+            for (std::size_t b = 0; b < batch; ++b) {
+                frames[b].levels[i + 1].saFeatures = std::move(pooled[b]);
             }
         }
         if (isClassifier()) {
@@ -506,7 +479,8 @@ PointNetPP::featureStage(std::span<Frame> frames, StageTimer *timer)
             }
         }
         StageTimer::ScopedStage scope(timer, kStageFeature);
-        stacked = fpBlocks[m].mlp.forwardSegmented(stacked, seg_rows);
+        stacked = fpBlocks[m].mlp.forwardSegmented(std::move(stacked),
+                                                   seg_rows);
         if (fine == 0) {
             break;
         }
@@ -519,7 +493,7 @@ PointNetPP::featureStage(std::span<Frame> frames, StageTimer *timer)
     }
 
     StageTimer::ScopedStage scope(timer, kStageFeature);
-    const nn::Matrix out = head.forwardSegmented(stacked, seg_rows);
+    const nn::Matrix out = head.forwardSegmented(std::move(stacked), seg_rows);
     std::size_t offset = 0;
     for (std::size_t b = 0; b < batch; ++b) {
         logits[b] = nn::sliceRows(out, offset, offset + seg_rows[b]);

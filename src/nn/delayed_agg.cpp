@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <string_view>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
@@ -352,27 +353,28 @@ delayedSaSingleStageInfer(std::span<const Vec3> positions,
     return out;
 }
 
-Matrix
-delayedEdgeFirstLinear(const Matrix &features,
-                       const NeighborLists &neighbors,
-                       const Matrix &weight, const Matrix &bias,
-                       GemmEngine &engine, DelayedEdgeCache *cache)
+namespace {
+
+/**
+ * The two N-row GEMMs of a delayed EdgeConv first Linear:
+ * [f_i | f_j - f_i] [Ws; Wd] + b = f_i (Ws - Wd) + f_j Wd + b, so
+ * psi = F (Ws - Wd) + b (bias rides in the self term) and phi = F Wd.
+ */
+std::pair<Matrix, Matrix>
+delayedEdgeTerms(const char *what, const Matrix &features,
+                 const NeighborLists &neighbors, const Matrix &weight,
+                 const Matrix &bias, GemmEngine &engine)
 {
     const std::size_t n = neighbors.queries();
-    const std::size_t k = neighbors.k;
     const std::size_t c = features.cols();
     if (features.rows() != n) {
-        fatal("delayedEdgeFirstLinear: %zu feature rows != %zu queries",
-              features.rows(), n);
+        fatal("%s: %zu feature rows != %zu queries", what, features.rows(),
+              n);
     }
     if (weight.rows() != 2 * c) {
-        fatal("delayedEdgeFirstLinear: weight rows %zu != 2C (%zu)",
-              weight.rows(), 2 * c);
+        fatal("%s: weight rows %zu != 2C (%zu)", what, weight.rows(), 2 * c);
     }
     const std::size_t c_out = weight.cols();
-
-    // [f_i | f_j - f_i] [Ws; Wd] + b = f_i (Ws - Wd) + f_j Wd + b:
-    // psi = F (Ws - Wd) + b (bias rides in the self term), phi = F Wd.
     Matrix w_self_minus_diff = weightRowSlab(weight, 0, c);
     {
         const float *wd = weight.data() + c * c_out;
@@ -382,9 +384,23 @@ delayedEdgeFirstLinear(const Matrix &features,
         }
     }
     const Matrix w_diff = weightRowSlab(weight, c, 2 * c);
-    const Matrix psi = exactLinear(features, w_self_minus_diff, bias,
-                                   engine);
-    const Matrix phi = engine.multiply(features, w_diff);
+    return {exactLinear(features, w_self_minus_diff, bias, engine),
+            engine.multiply(features, w_diff)};
+}
+
+} // namespace
+
+Matrix
+delayedEdgeFirstLinear(const Matrix &features,
+                       const NeighborLists &neighbors,
+                       const Matrix &weight, const Matrix &bias,
+                       GemmEngine &engine, DelayedEdgeCache *cache)
+{
+    const std::size_t n = neighbors.queries();
+    const std::size_t k = neighbors.k;
+    const std::size_t c_out = weight.cols();
+    const auto [psi, phi] = delayedEdgeTerms(
+        "delayedEdgeFirstLinear", features, neighbors, weight, bias, engine);
 
     Matrix pre(n * k, c_out);
     const float *phi_base = phi.data();
@@ -409,6 +425,19 @@ delayedEdgeFirstLinear(const Matrix &features,
         cache->neighbors = neighbors;
     }
     return pre;
+}
+
+Matrix
+delayedEdgeConvInfer(const Matrix &features, const NeighborLists &neighbors,
+                     const Matrix &weight, const Matrix &bias,
+                     const TailNorm &norm, Activation act,
+                     GemmEngine &engine)
+{
+    const auto [psi, phi] = delayedEdgeTerms(
+        "delayedEdgeConvInfer", features, neighbors, weight, bias, engine);
+    Matrix out(neighbors.queries(), weight.cols());
+    fusedTailPoolEdges(psi, phi, neighbors, &norm, act, out);
+    return out;
 }
 
 Matrix

@@ -189,6 +189,23 @@ Matrix delayedEdgeFirstLinear(const Matrix &features,
                               GemmEngine &engine, DelayedEdgeCache *cache);
 
 /**
+ * Fully delayed inference of a single-stage DGCNN EdgeConv block
+ * (Linear -> BatchNorm -> activation, then the neighbor max-pool):
+ * the pooled n x C_out rows, bit-identical with delayedEdgeFirstLinear
+ * followed by the block's tail and MaxPoolNeighbors, but the
+ * (n*k)-row pre-activation is never materialized — statistics and the
+ * per-group max/min read psi[i] + phi[j] on the fly (DESIGN.md §17).
+ *
+ * @param norm The block's BatchNorm (Sequential::normTailFrom).
+ * @param act The activation after it.
+ */
+Matrix delayedEdgeConvInfer(const Matrix &features,
+                            const NeighborLists &neighbors,
+                            const Matrix &weight, const Matrix &bias,
+                            const TailNorm &norm, Activation act,
+                            GemmEngine &engine);
+
+/**
  * Backward of delayedEdgeFirstLinear: accumulates dW/db into
  * @p weight / @p bias and returns dLoss/dFeatures (N x C). Matches the
  * eager Linear::backward + EdgeFeatureLayer::backward composition.

@@ -191,6 +191,14 @@ BatchNorm::forward(const Matrix &input, bool train)
               cols, runningMean.size());
     }
     Matrix out(rows, cols);
+    if (!train) {
+        // Inference is the fused tail's kernel (DESIGN.md §17): the
+        // same statistics policy, one pass over the rows.
+        const TailNorm norm = tailNorm(cols);
+        const std::size_t segment[] = {rows};
+        fusedTailRows(input, out, segment, &norm, Activation{});
+        return out;
+    }
 
     // This engine processes one cloud per forward pass, so the batch
     // statistics are per-cloud (instance) statistics. They are used
@@ -204,37 +212,10 @@ BatchNorm::forward(const Matrix &input, bool train)
     std::vector<float> mean(cols), var(cols);
     usedBatchStats = rows > 1;
     if (usedBatchStats) {
+        columnStats(input.data(), rows, cols, mean.data(), var.data());
         for (std::size_t c = 0; c < cols; ++c) {
-            mean[c] = 0.0f;
-            var[c] = 0.0f;
-        }
-        for (std::size_t r = 0; r < rows; ++r) {
-            const float *row = input.data() + r * cols;
-            for (std::size_t c = 0; c < cols; ++c) {
-                mean[c] += row[c];
-            }
-        }
-        const float inv_rows = 1.0f / static_cast<float>(rows);
-        for (std::size_t c = 0; c < cols; ++c) {
-            mean[c] *= inv_rows;
-        }
-        for (std::size_t r = 0; r < rows; ++r) {
-            const float *row = input.data() + r * cols;
-            for (std::size_t c = 0; c < cols; ++c) {
-                const float d = row[c] - mean[c];
-                var[c] += d * d;
-            }
-        }
-        for (std::size_t c = 0; c < cols; ++c) {
-            var[c] *= inv_rows;
-        }
-        if (train) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                runningMean[c] =
-                    (1.0f - mom) * runningMean[c] + mom * mean[c];
-                runningVar[c] =
-                    (1.0f - mom) * runningVar[c] + mom * var[c];
-            }
+            runningMean[c] = (1.0f - mom) * runningMean[c] + mom * mean[c];
+            runningVar[c] = (1.0f - mom) * runningVar[c] + mom * var[c];
         }
     } else {
         mean = runningMean;
@@ -246,89 +227,32 @@ BatchNorm::forward(const Matrix &input, bool train)
         savedInvStd[c] = 1.0f / std::sqrt(var[c] + eps);
     }
 
-    if (train) {
-        savedNormalized = Matrix(rows, cols);
-    }
+    savedNormalized = Matrix(rows, cols);
     const float *g = gamma.value.data();
     const float *b = beta.value.data();
     parallelFor(0, rows, [&](std::size_t r) {
         const float *in_row = input.data() + r * cols;
         float *out_row = out.data() + r * cols;
-        float *norm_row =
-            train ? savedNormalized.data() + r * cols : nullptr;
+        float *norm_row = savedNormalized.data() + r * cols;
         for (std::size_t c = 0; c < cols; ++c) {
             const float normalized =
                 (in_row[c] - mean[c]) * savedInvStd[c];
-            if (norm_row) {
-                norm_row[c] = normalized;
-            }
+            norm_row[c] = normalized;
             out_row[c] = g[c] * normalized + b[c];
         }
     });
     return out;
 }
 
-bool
-BatchNorm::inferSegmentsInPlace(Matrix &x,
-                                std::span<const std::size_t> segment_rows)
+TailNorm
+BatchNorm::tailNorm(std::size_t cols) const
 {
-    const std::size_t cols = x.cols();
     if (cols != runningMean.size()) {
-        fatal("BatchNorm::inferSegmentsInPlace: feature dim %zu != "
-              "configured %zu",
-              cols, runningMean.size());
+        fatal("BatchNorm: feature dim %zu != configured %zu", cols,
+              runningMean.size());
     }
-
-    // Same statistics policy and arithmetic as forward(): multi-row
-    // segments normalize with their own instance statistics, single
-    // rows fall back to the running averages. Normalizing in place on
-    // the stacked batch is what saves the per-segment slice and
-    // copy-back that a forward() round trip would cost.
-    std::vector<float> mean(cols), var(cols), inv_std(cols);
-    const float *g = gamma.value.data();
-    const float *b = beta.value.data();
-    std::size_t offset = 0;
-    for (std::size_t rows : segment_rows) {
-        if (rows > 1) {
-            std::fill(mean.begin(), mean.end(), 0.0f);
-            std::fill(var.begin(), var.end(), 0.0f);
-            for (std::size_t r = 0; r < rows; ++r) {
-                const float *row = x.data() + (offset + r) * cols;
-                for (std::size_t c = 0; c < cols; ++c) {
-                    mean[c] += row[c];
-                }
-            }
-            const float inv_rows = 1.0f / static_cast<float>(rows);
-            for (std::size_t c = 0; c < cols; ++c) {
-                mean[c] *= inv_rows;
-            }
-            for (std::size_t r = 0; r < rows; ++r) {
-                const float *row = x.data() + (offset + r) * cols;
-                for (std::size_t c = 0; c < cols; ++c) {
-                    const float d = row[c] - mean[c];
-                    var[c] += d * d;
-                }
-            }
-            for (std::size_t c = 0; c < cols; ++c) {
-                var[c] *= inv_rows;
-            }
-        } else {
-            mean = runningMean;
-            var = runningVar;
-        }
-        for (std::size_t c = 0; c < cols; ++c) {
-            inv_std[c] = 1.0f / std::sqrt(var[c] + eps);
-        }
-        parallelFor(0, rows, [&](std::size_t r) {
-            float *row = x.data() + (offset + r) * cols;
-            for (std::size_t c = 0; c < cols; ++c) {
-                const float normalized = (row[c] - mean[c]) * inv_std[c];
-                row[c] = g[c] * normalized + b[c];
-            }
-        });
-        offset += rows;
-    }
-    return true;
+    return TailNorm{gamma.value.data(), beta.value.data(),
+                    runningMean.data(), runningVar.data(), eps};
 }
 
 Matrix
@@ -396,16 +320,18 @@ BatchNorm::collectBuffers(std::vector<std::vector<float> *> &out)
 Matrix
 ReLU::forward(const Matrix &input, bool train)
 {
-    Matrix out = input;
-    if (train) {
-        mask.assign(input.numel(), 0);
+    if (!train) {
+        Matrix out(input.rows(), input.cols());
+        const std::size_t segment[] = {input.rows()};
+        fusedTailRows(input, out, segment, nullptr, *activation());
+        return out;
     }
+    Matrix out = input;
+    mask.assign(input.numel(), 0);
     float *data = out.data();
     for (std::size_t i = 0; i < out.numel(); ++i) {
         if (data[i] > 0.0f) {
-            if (train) {
-                mask[i] = 1;
-            }
+            mask[i] = 1;
         } else {
             data[i] = 0.0f;
         }
@@ -435,16 +361,18 @@ LeakyReLU::LeakyReLU(float negative_slope) : slope(negative_slope) {}
 Matrix
 LeakyReLU::forward(const Matrix &input, bool train)
 {
-    Matrix out = input;
-    if (train) {
-        mask.assign(input.numel(), 0);
+    if (!train) {
+        Matrix out(input.rows(), input.cols());
+        const std::size_t segment[] = {input.rows()};
+        fusedTailRows(input, out, segment, nullptr, *activation());
+        return out;
     }
+    Matrix out = input;
+    mask.assign(input.numel(), 0);
     float *data = out.data();
     for (std::size_t i = 0; i < out.numel(); ++i) {
         if (data[i] > 0.0f) {
-            if (train) {
-                mask[i] = 1;
-            }
+            mask[i] = 1;
         } else {
             data[i] *= slope;
         }
@@ -504,6 +432,10 @@ Sequential::forwardFrom(std::size_t first, const Matrix &input, bool train)
         fatal("forwardFrom: first layer %zu > size %zu", first,
               layers.size());
     }
+    if (!train) {
+        const std::size_t segment[] = {input.rows()};
+        return forwardSegmented(input, segment, first);
+    }
     Matrix x = input;
     for (std::size_t i = first; i < layers.size(); ++i) {
         x = layers[i]->forward(x, train);
@@ -544,63 +476,203 @@ Sequential::rowIndependentInference() const
     return true;
 }
 
+void
+Sequential::inferLayers(const Matrix *&src, Matrix &x,
+                        std::span<const std::size_t> segment_rows,
+                        std::size_t first, std::size_t last)
+{
+    for (std::size_t li = first; li < last; ++li) {
+        Layer &layer = *layers[li];
+        const Matrix &in = src != nullptr ? *src : x;
+        // A single segment is the whole matrix, whatever its height
+        // after an earlier row-changing layer.
+        const std::size_t whole[] = {in.rows()};
+        const std::span<const std::size_t> segs =
+            segment_rows.size() == 1 ? std::span<const std::size_t>(whole)
+                                     : segment_rows;
+        const auto *bn = dynamic_cast<const BatchNorm *>(&layer);
+        std::optional<Activation> act = layer.activation();
+        if (bn != nullptr || act) {
+            // BatchNorm and the activation after it are one pass.
+            if (bn != nullptr && li + 1 < last) {
+                act = layers[li + 1]->activation();
+                li += act ? 1 : 0;
+            }
+            TailNorm norm;
+            if (bn != nullptr) {
+                norm = bn->tailNorm(in.cols());
+            }
+            if (src != nullptr) {
+                x = Matrix(in.rows(), in.cols());
+            }
+            fusedTailRows(in, x, segs, bn != nullptr ? &norm : nullptr,
+                          act.value_or(Activation{}));
+            src = nullptr;
+            continue;
+        }
+        if (layer.rowIndependentInference() || segs.size() == 1) {
+            x = layer.forward(in, false);
+            src = nullptr;
+            continue;
+        }
+        // Cross-row layers without a fused kernel run per segment.
+        Matrix out;
+        std::size_t offset = 0;
+        for (std::size_t s = 0; s < segs.size(); ++s) {
+            Matrix seg = sliceRows(in, offset, offset + segs[s]);
+            Matrix y = layer.forward(seg, false);
+            if (y.rows() != segs[s]) {
+                fatal("forwardSegmented: layer changed segment rows "
+                      "(%zu -> %zu)",
+                      segs[s], y.rows());
+            }
+            if (s == 0) {
+                out = Matrix(in.rows(), y.cols());
+            }
+            std::copy(y.data(), y.data() + y.numel(),
+                      out.data() + offset * y.cols());
+            offset += segs[s];
+        }
+        x = std::move(out);
+        src = nullptr;
+    }
+}
+
+namespace {
+
+void
+checkSegments(const char *what, std::size_t first, std::size_t size,
+              std::span<const std::size_t> segment_rows, std::size_t rows)
+{
+    if (first > size) {
+        fatal("%s: first layer %zu > size %zu", what, first, size);
+    }
+    std::size_t total = 0;
+    for (std::size_t r : segment_rows) {
+        total += r;
+    }
+    if (total != rows) {
+        fatal("%s: segment rows %zu != input rows %zu", what, total, rows);
+    }
+}
+
+} // namespace
+
+Matrix
+Sequential::forwardSegmented(Matrix &&input,
+                             std::span<const std::size_t> segment_rows,
+                             std::size_t first_layer)
+{
+    checkSegments("forwardSegmented", first_layer, layers.size(),
+                  segment_rows, input.rows());
+    Matrix x = std::move(input);
+    const Matrix *src = nullptr;
+    inferLayers(src, x, segment_rows, first_layer, layers.size());
+    return x;
+}
+
 Matrix
 Sequential::forwardSegmented(const Matrix &input,
                              std::span<const std::size_t> segment_rows,
                              std::size_t first_layer)
 {
-    if (first_layer > layers.size()) {
-        fatal("forwardSegmented: first layer %zu > size %zu", first_layer,
-              layers.size());
-    }
-    std::size_t total = 0;
-    for (std::size_t rows : segment_rows) {
-        total += rows;
-    }
-    if (total != input.rows()) {
-        fatal("forwardSegmented: segment rows %zu != input rows %zu",
-              total, input.rows());
-    }
-
-    // `x` is materialized lazily: the first layer reads `input`
-    // directly (the usual Linear head makes a fresh matrix anyway), so
-    // the stacked batch is not copied just to enter the loop.
+    checkSegments("forwardSegmented", first_layer, layers.size(),
+                  segment_rows, input.rows());
     Matrix x;
-    bool have_x = false;
-    for (std::size_t li = first_layer; li < layers.size(); ++li) {
-        auto &layer = layers[li];
-        if (layer->rowIndependentInference()) {
-            x = layer->forward(have_x ? x : input, false);
-            have_x = true;
-            continue;
+    const Matrix *src = &input;
+    inferLayers(src, x, segment_rows, first_layer, layers.size());
+    return src != nullptr ? input : x;
+}
+
+std::vector<Matrix>
+Sequential::inferPooled(const Matrix *src, Matrix &x,
+                        std::span<const std::size_t> segment_rows,
+                        std::span<const std::size_t> group_k,
+                        std::size_t first)
+{
+    // Peel the trailing [BatchNorm][activation]: the pool runs between
+    // the raw pre-activation and the tail (DESIGN.md §17).
+    std::size_t end = layers.size();
+    Activation act;
+    if (end > first) {
+        if (const auto a = layers[end - 1]->activation()) {
+            act = *a;
+            --end;
         }
-        if (!have_x) {
-            x = input;
-            have_x = true;
-        }
-        if (layer->inferSegmentsInPlace(x, segment_rows)) {
-            continue;
-        }
-        Matrix out;
-        std::size_t offset = 0;
-        for (std::size_t s = 0; s < segment_rows.size(); ++s) {
-            Matrix seg = sliceRows(x, offset, offset + segment_rows[s]);
-            Matrix y = layer->forward(seg, false);
-            if (y.rows() != segment_rows[s]) {
-                fatal("forwardSegmented: layer changed segment rows "
-                      "(%zu -> %zu)",
-                      segment_rows[s], y.rows());
-            }
-            if (s == 0) {
-                out = Matrix(x.rows(), y.cols());
-            }
-            std::copy(y.data(), y.data() + y.numel(),
-                      out.data() + offset * y.cols());
-            offset += segment_rows[s];
-        }
-        x = std::move(out);
     }
-    return have_x ? x : input;
+    const BatchNorm *bn = nullptr;
+    if (end > first) {
+        bn = dynamic_cast<const BatchNorm *>(layers[end - 1].get());
+        end -= bn != nullptr ? 1 : 0;
+    }
+    inferLayers(src, x, segment_rows, first, end);
+    const Matrix &in = src != nullptr ? *src : x;
+    if (group_k.size() != segment_rows.size()) {
+        fatal("forwardPooled: %zu group sizes for %zu segments",
+              group_k.size(), segment_rows.size());
+    }
+    std::vector<Matrix> out(segment_rows.size());
+    for (std::size_t s = 0; s < out.size(); ++s) {
+        if (group_k[s] == 0) {
+            fatal("forwardPooled: group size must be > 0");
+        }
+        out[s] = Matrix(segment_rows[s] / group_k[s], in.cols());
+    }
+    TailNorm norm;
+    if (bn != nullptr) {
+        norm = bn->tailNorm(in.cols());
+    }
+    fusedTailPool(in, segment_rows, group_k, bn != nullptr ? &norm : nullptr,
+                  act, out);
+    return out;
+}
+
+std::vector<Matrix>
+Sequential::forwardPooled(Matrix &&input,
+                          std::span<const std::size_t> segment_rows,
+                          std::span<const std::size_t> group_k,
+                          std::size_t first_layer)
+{
+    checkSegments("forwardPooled", first_layer, layers.size(), segment_rows,
+                  input.rows());
+    Matrix x = std::move(input);
+    return inferPooled(nullptr, x, segment_rows, group_k, first_layer);
+}
+
+std::vector<Matrix>
+Sequential::forwardPooled(const Matrix &input,
+                          std::span<const std::size_t> segment_rows,
+                          std::span<const std::size_t> group_k,
+                          std::size_t first_layer)
+{
+    checkSegments("forwardPooled", first_layer, layers.size(), segment_rows,
+                  input.rows());
+    Matrix x;
+    return inferPooled(&input, x, segment_rows, group_k, first_layer);
+}
+
+bool
+Sequential::normTailFrom(std::size_t first, std::size_t cols,
+                         TailNorm &norm, Activation &act) const
+{
+    const std::size_t n = layers.size();
+    if (first >= n || n - first > 2) {
+        return false;
+    }
+    const auto *bn = dynamic_cast<const BatchNorm *>(layers[first].get());
+    if (bn == nullptr) {
+        return false;
+    }
+    act = Activation{};
+    if (first + 1 < n) {
+        const auto a = layers[first + 1]->activation();
+        if (!a) {
+            return false;
+        }
+        act = *a;
+    }
+    norm = bn->tailNorm(cols);
+    return true;
 }
 
 Matrix
@@ -646,10 +718,15 @@ MaxPoolNeighbors::forward(const Matrix &input, bool train)
     const std::size_t points = input.rows() / k;
     const std::size_t cols = input.cols();
     Matrix out(points, cols);
-    if (train) {
-        argmax.assign(points * cols, 0);
-        savedRows = input.rows();
+    if (!train) {
+        const std::size_t segment[] = {input.rows()};
+        const std::size_t group[] = {k};
+        fusedTailPool(input, segment, group, nullptr, Activation{},
+                      std::span<Matrix>(&out, 1));
+        return out;
     }
+    argmax.assign(points * cols, 0);
+    savedRows = input.rows();
 
     parallelFor(0, points, [&](std::size_t p) {
         float *out_row = out.data() + p * cols;
@@ -657,21 +734,16 @@ MaxPoolNeighbors::forward(const Matrix &input, bool train)
         for (std::size_t c = 0; c < cols; ++c) {
             out_row[c] = first[c];
         }
-        std::uint32_t *amax =
-            train ? argmax.data() + p * cols : nullptr;
-        if (amax) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                amax[c] = static_cast<std::uint32_t>(p * k);
-            }
+        std::uint32_t *amax = argmax.data() + p * cols;
+        for (std::size_t c = 0; c < cols; ++c) {
+            amax[c] = static_cast<std::uint32_t>(p * k);
         }
         for (std::size_t j = 1; j < k; ++j) {
             const float *row = input.data() + (p * k + j) * cols;
             for (std::size_t c = 0; c < cols; ++c) {
                 if (row[c] > out_row[c]) {
                     out_row[c] = row[c];
-                    if (amax) {
-                        amax[c] = static_cast<std::uint32_t>(p * k + j);
-                    }
+                    amax[c] = static_cast<std::uint32_t>(p * k + j);
                 }
             }
         }
@@ -706,10 +778,15 @@ GlobalMaxPool::forward(const Matrix &input, bool train)
     }
     const std::size_t cols = input.cols();
     Matrix out(1, cols);
-    if (train) {
-        argmax.assign(cols, 0);
-        savedRows = input.rows();
+    if (!train) {
+        // One group of every row, split over the columns.
+        const std::size_t segment[] = {input.rows()};
+        fusedTailPool(input, segment, segment, nullptr, Activation{},
+                      std::span<Matrix>(&out, 1));
+        return out;
     }
+    argmax.assign(cols, 0);
+    savedRows = input.rows();
     for (std::size_t c = 0; c < cols; ++c) {
         out.at(0, c) = input.at(0, c);
     }
@@ -718,9 +795,7 @@ GlobalMaxPool::forward(const Matrix &input, bool train)
         for (std::size_t c = 0; c < cols; ++c) {
             if (row[c] > out.at(0, c)) {
                 out.at(0, c) = row[c];
-                if (train) {
-                    argmax[c] = static_cast<std::uint32_t>(r);
-                }
+                argmax[c] = static_cast<std::uint32_t>(r);
             }
         }
     }

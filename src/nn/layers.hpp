@@ -13,9 +13,11 @@
 #define EDGEPC_NN_LAYERS_HPP
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "nn/fused_tail.hpp"
 #include "nn/gemm.hpp"
 #include "nn/quant.hpp"
 #include "nn/tensor.hpp"
@@ -54,6 +56,16 @@ class Layer
      */
     virtual bool rowIndependentInference() const { return false; }
 
+    /**
+     * The elementwise activation this layer is, if it is one (ReLU,
+     * LeakyReLU). Sequential's inference route runs it in place, fused
+     * into a preceding BatchNorm's pass (DESIGN.md §17).
+     */
+    virtual std::optional<Activation> activation() const
+    {
+        return std::nullopt;
+    }
+
     /** Append this layer's parameters to @p out. */
     virtual void collectParameters(std::vector<Parameter *> &out)
     {
@@ -67,22 +79,6 @@ class Layer
     virtual void collectBuffers(std::vector<std::vector<float> *> &out)
     {
         (void)out;
-    }
-
-    /**
-     * Inference-only forward applied in place over a row-stacked batch
-     * of independent segments. Shape-preserving layers whose inference
-     * depends on per-segment statistics (BatchNorm) override this so
-     * Sequential::forwardSegmented can skip the slice/forward/copy-back
-     * round trip per segment. Returns false when the layer has no
-     * in-place segmented path and the caller must fall back.
-     */
-    virtual bool inferSegmentsInPlace(
-        Matrix &x, std::span<const std::size_t> segment_rows)
-    {
-        (void)x;
-        (void)segment_rows;
-        return false;
     }
 
     /**
@@ -198,8 +194,10 @@ class BatchNorm : public Layer
     Matrix backward(const Matrix &grad_output) override;
     void collectParameters(std::vector<Parameter *> &out) override;
     void collectBuffers(std::vector<std::vector<float> *> &out) override;
-    bool inferSegmentsInPlace(
-        Matrix &x, std::span<const std::size_t> segment_rows) override;
+
+    /** This layer's parameters for the fused tail; @p cols must match
+        the configured feature count. */
+    TailNorm tailNorm(std::size_t cols) const;
 
   private:
     Parameter gamma; ///< 1 x features (scale).
@@ -228,6 +226,10 @@ class ReLU : public Layer
     Matrix forward(const Matrix &input, bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     bool rowIndependentInference() const override { return true; }
+    std::optional<Activation> activation() const override
+    {
+        return Activation{Activation::Kind::Relu, 0.0f};
+    }
 
   private:
     std::vector<std::uint8_t> mask;
@@ -246,6 +248,10 @@ class LeakyReLU : public Layer
     Matrix forward(const Matrix &input, bool train) override;
     Matrix backward(const Matrix &grad_output) override;
     bool rowIndependentInference() const override { return true; }
+    std::optional<Activation> activation() const override
+    {
+        return Activation{Activation::Kind::LeakyRelu, slope};
+    }
 
   private:
     float slope;
@@ -284,18 +290,51 @@ class Sequential : public Layer
      * @p segment_rows gives each cloud's row count (must sum to
      * input.rows()). Row-independent layers run once at full batch
      * height — this is where the packed GEMM gets its large-M shape —
-     * while layers with per-cloud statistics (BatchNorm) run per
-     * segment, so the result matches per-cloud forward() exactly up
-     * to GEMM-path float reassociation.
+     * while BatchNorm normalizes each segment with its own statistics,
+     * so the result is bit-identical with per-cloud forward().
+     *
+     * The rvalue form works in place on @p input: each BatchNorm and
+     * activation pair is one fused pass over it, and a GEMM output is
+     * the only matrix a layer allocates. The const form never writes
+     * the caller's matrix (its first elementwise pass writes a copy).
      *
      * @param first_layer Skip layers [0, first_layer): the delayed
      *        aggregation route runs the first Linear itself (over the
      *        unique rows, pre-gather) and feeds the combined
      *        pre-activations to the remaining tail.
      */
+    Matrix forwardSegmented(Matrix &&input,
+                            std::span<const std::size_t> segment_rows,
+                            std::size_t first_layer = 0);
     Matrix forwardSegmented(const Matrix &input,
                             std::span<const std::size_t> segment_rows,
                             std::size_t first_layer = 0);
+
+    /**
+     * forwardSegmented followed by a max-pool over consecutive groups
+     * of group_k[s] rows inside each segment s (a neighbor max-pool;
+     * one group of all rows is a global max-pool). Returns segment s's
+     * pooled segment_rows[s] / group_k[s] rows as element s. When the
+     * stack ends in BatchNorm and/or an activation, the pool runs on
+     * the raw pre-activation and only the pooled rows are normalized,
+     * bit-identical with the unfused order (DESIGN.md §17).
+     */
+    std::vector<Matrix> forwardPooled(Matrix &&input,
+                                      std::span<const std::size_t> segment_rows,
+                                      std::span<const std::size_t> group_k,
+                                      std::size_t first_layer = 0);
+    std::vector<Matrix> forwardPooled(const Matrix &input,
+                                      std::span<const std::size_t> segment_rows,
+                                      std::span<const std::size_t> group_k,
+                                      std::size_t first_layer = 0);
+
+    /**
+     * True when layers [first, size()) are exactly a BatchNorm and an
+     * optional activation: the block's whole tail, as the fused pooled
+     * kernels take it. Fills @p norm and @p act (identity when none).
+     */
+    bool normTailFrom(std::size_t first, std::size_t cols, TailNorm &norm,
+                      Activation &act) const;
 
     /** Child layer @p i (0-based, owned; bounds-checked). */
     Layer *layerAt(std::size_t i) { return layers.at(i).get(); }
@@ -303,6 +342,8 @@ class Sequential : public Layer
     /**
      * forward() starting at layer @p first: runs layers
      * [first, size()) on @p input — the delayed-aggregation tail pass.
+     * At inference it is the in-place route of forwardSegmented over
+     * one segment; @p input is never written.
      */
     Matrix forwardFrom(std::size_t first, const Matrix &input, bool train);
 
@@ -316,6 +357,22 @@ class Sequential : public Layer
     std::size_t size() const { return layers.size(); }
 
   private:
+    /**
+     * Inference over layers [first, last). The first layer reads
+     * @p src when it is set (a caller-owned matrix) and @p x
+     * otherwise; every later layer reads @p x, which elementwise
+     * passes rewrite in place. Clears @p src once @p x holds the
+     * activations.
+     */
+    void inferLayers(const Matrix *&src, Matrix &x,
+                     std::span<const std::size_t> segment_rows,
+                     std::size_t first, std::size_t last);
+
+    std::vector<Matrix> inferPooled(const Matrix *src, Matrix &x,
+                                    std::span<const std::size_t> segment_rows,
+                                    std::span<const std::size_t> group_k,
+                                    std::size_t first);
+
     std::vector<std::unique_ptr<Layer>> layers;
 };
 

@@ -31,6 +31,7 @@
 #include "neighbor/brute_force.hpp"
 #include "neighbor/morton_window.hpp"
 #include "nn/gemm.hpp"
+#include "nn/layers.hpp"
 #include "sampling/fps.hpp"
 #include "sampling/morton_sampler.hpp"
 
@@ -586,6 +587,42 @@ TEST(ScratchArenaZeroAlloc, FpsSteadyState)
     EXPECT_EQ(delta.grows, 0u);
     EXPECT_LE(delta.allocs, kPerCallAllocBudget);
     EXPECT_EQ(out.size(), 256u);
+}
+
+/**
+ * One inference pass of a Linear -> BatchNorm -> ReLU -> neighbor
+ * max-pool block (DESIGN.md §17): the GEMM output is the only matrix
+ * the block allocates, BatchNorm + ReLU run in place on it and the pool
+ * reads the raw rows before normalizing only the pooled ones. The
+ * column statistics live in the arena. Heap traffic is therefore the
+ * GEMM output plus the pooled output plus control blocks; one more
+ * activation-sized matrix would be 2 MiB here.
+ */
+TEST(ScratchArenaZeroAlloc, FusedTailBlockSteadyState)
+{
+    const std::size_t groups = 512, k = 16, in = 32, out = 64;
+    Rng rng(61);
+    nn::Sequential block;
+    block.addLinearBnRelu(in, out, rng);
+    nn::Matrix x(groups * k, in);
+    x.fillNormal(rng, 1.0f);
+    const std::size_t rows[] = {groups * k};
+    const std::size_t ks[] = {k};
+    for (int warm = 0; warm < 2; ++warm) {
+        const auto ignored = block.forwardPooled(x, rows, ks);
+        static_cast<void>(ignored);
+    }
+    nn::Matrix owned = x;
+    warmPoolArenas();
+    const SteadyState before = snapshot();
+    const auto pooled = block.forwardPooled(std::move(owned), rows, ks);
+    const SteadyState delta = deltaOf(before);
+    EXPECT_EQ(delta.grows, 0u);
+    EXPECT_LE(delta.allocs, kPerCallAllocBudget);
+    EXPECT_LE(delta.bytes, (groups * k * out + groups * out) * sizeof(float) +
+                               16u * 1024u);
+    ASSERT_EQ(pooled.size(), 1u);
+    EXPECT_EQ(pooled[0].rows(), groups);
 }
 
 } // namespace
