@@ -191,15 +191,17 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
     NeighborCache cache(config.reuseDistance);
 
     // Initial features: the coordinates.
-    nn::Matrix features(n, 3);
+    nn::Matrix coords(n, 3, nn::kUninitialized);
     for (std::size_t i = 0; i < n; ++i) {
         const Vec3 &p = cloud.position(i);
-        features.at(i, 0) = p.x;
-        features.at(i, 1) = p.y;
-        features.at(i, 2) = p.z;
+        coords.at(i, 0) = p.x;
+        coords.at(i, 1) = p.y;
+        coords.at(i, 2) = p.z;
     }
 
     ecOutputs.assign(ecBlocks.size(), nn::Matrix{});
+    // Each module reads the previous module's output in place.
+    const nn::Matrix *features = &coords;
 
     for (std::size_t m = 0; m < ecBlocks.size(); ++m) {
         EcBlock &block = ecBlocks[m];
@@ -207,7 +209,7 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         {
             StageTimer::ScopedStage scope(timer, kStageNeighbor);
             neighbors = searchNeighbors(m, config, cloud.positions(),
-                                        features, cache);
+                                        *features, cache);
         }
         // The searchers clamp k for tiny clouds; pool with the
         // effective group size.
@@ -232,23 +234,23 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
             // outputs; the (n*k)-row pre-activation never exists.
             StageTimer::ScopedStage scope(timer, kStageFeature);
             ecOutputs[m] = nn::delayedEdgeConvInfer(
-                features, neighbors, lin0->weights().value,
+                *features, neighbors, lin0->weights().value,
                 lin0->biases().value, norm, act,
                 nn::GemmEngine::globalEngine());
-            features = ecOutputs[m];
+            features = &ecOutputs[m];
             continue;
         }
         if (block.delayedActive) {
             StageTimer::ScopedStage scope(timer, kStageFeature);
             const nn::Matrix pre = nn::delayedEdgeFirstLinear(
-                features, neighbors, lin0->weights().value,
+                *features, neighbors, lin0->weights().value,
                 lin0->biases().value, nn::GemmEngine::globalEngine(),
                 train ? &block.delayedCache : nullptr);
             const nn::Matrix activated =
                 block.mlp.forwardFrom(1, pre, train);
             block.pool = std::make_unique<nn::MaxPoolNeighbors>(k_eff);
             ecOutputs[m] = block.pool->forward(activated, train);
-            features = ecOutputs[m];
+            features = &ecOutputs[m];
             continue;
         }
 
@@ -256,7 +258,7 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
         {
             StageTimer::ScopedStage scope(timer, kStageGroup);
             block.edge.setNeighbors(std::move(neighbors));
-            edges = block.edge.forward(features, train);
+            edges = block.edge.forward(*features, train);
         }
         {
             StageTimer::ScopedStage scope(timer, kStageFeature);
@@ -272,14 +274,11 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
                         .front());
             }
         }
-        features = ecOutputs[m];
+        features = &ecOutputs[m];
     }
 
     StageTimer::ScopedStage scope(timer, kStageFeature);
-    nn::Matrix concat = ecOutputs[0];
-    for (std::size_t m = 1; m < ecOutputs.size(); ++m) {
-        concat = nn::concatCols(concat, ecOutputs[m]);
-    }
+    const nn::Matrix concat = nn::concatCols(ecOutputs);
 
     nn::Matrix pooled;
     if (train) {
@@ -294,9 +293,16 @@ Dgcnn::forward(const PointCloud &cloud, const EdgePcConfig &config,
     if (isClassifier()) {
         return head.forward(pooled, train);
     }
-    const nn::Matrix broadcast = nn::broadcastRow(pooled, n);
-    const nn::Matrix head_in = nn::concatCols(concat, broadcast);
-    return head.forward(head_in, train);
+    if (train) {
+        const nn::Matrix broadcast = nn::broadcastRow(pooled, n);
+        return head.forward(nn::concatCols(concat, broadcast), true);
+    }
+    // The head's first Linear reads [concat | pooled] row by row; the
+    // n-row broadcast of the pooled row is never built (DESIGN.md §18).
+    auto *lin0 = static_cast<nn::Linear *>(head.layerAt(0));
+    const std::size_t rows[] = {n};
+    return head.forwardSegmented(lin0->forwardRowConcat(concat, pooled),
+                                 rows, 1);
 }
 
 nn::Matrix

@@ -129,6 +129,9 @@ class Dgcnn : public TrainableModel
     }
 
   private:
+    /** Test access to the layers and the saved EdgeConv outputs. */
+    friend struct ModelProbe;
+
     struct EcBlock
     {
         nn::EdgeFeatureLayer edge;

@@ -75,7 +75,7 @@ PointNet::forward(const PointCloud &cloud, const EdgePcConfig &config,
 
     StageTimer::ScopedStage scope(timer, kStageFeature);
 
-    nn::Matrix coords(n, 3);
+    nn::Matrix coords(n, 3, nn::kUninitialized);
     for (std::size_t i = 0; i < n; ++i) {
         const Vec3 &p = cloud.position(i);
         coords.at(i, 0) = p.x;
@@ -89,11 +89,16 @@ PointNet::forward(const PointCloud &cloud, const EdgePcConfig &config,
     if (!cfg.segmentation) {
         return head.forward(pooled, train);
     }
-    savedPointFeatures = point_features;
-    const nn::Matrix broadcast = nn::broadcastRow(pooled, n);
-    const nn::Matrix head_in =
-        nn::concatCols(point_features, broadcast);
-    return head.forward(head_in, train);
+    if (train) {
+        const nn::Matrix broadcast = nn::broadcastRow(pooled, n);
+        return head.forward(nn::concatCols(point_features, broadcast), true);
+    }
+    // As in DGCNN: the head's first Linear reads [features | pooled]
+    // without the n-row broadcast (DESIGN.md §18).
+    auto *lin0 = static_cast<nn::Linear *>(head.layerAt(0));
+    const std::size_t rows[] = {n};
+    return head.forwardSegmented(
+        lin0->forwardRowConcat(point_features, pooled), rows, 1);
 }
 
 nn::Matrix
@@ -115,8 +120,7 @@ PointNet::backward(const nn::Matrix &grad_logits)
     nn::Matrix grad_point_features;
     nn::Matrix grad_pooled;
     if (cfg.segmentation) {
-        auto [local, broadcast] =
-            nn::splitCols(g, savedPointFeatures.cols());
+        auto [local, broadcast] = nn::splitCols(g, cfg.mlp.back());
         grad_point_features = std::move(local);
         grad_pooled = nn::Matrix(1, broadcast.cols());
         for (std::size_t r = 0; r < broadcast.rows(); ++r) {

@@ -66,13 +66,15 @@ class PointNet : public TrainableModel
     const PointNetConfig &config() const { return cfg; }
 
   private:
+    /** Test access to the layers. */
+    friend struct ModelProbe;
+
     PointNetConfig cfg;
     nn::Sequential pointMlp;
     nn::Sequential head;
     nn::GlobalMaxPool globalPool;
 
     // Forward state.
-    nn::Matrix savedPointFeatures;
     std::size_t savedPoints = 0;
     bool trainMode = false;
 };

@@ -205,8 +205,7 @@ PointNetPP::sampleStage(Frame &frame, const PointCloud &cloud,
     frame.plans.assign(cfg.fp.size(), InterpolationPlan{});
     frame.levels[0].positions = cloud.positions();
     frame.levels[0].saFeatures =
-        nn::Matrix(cloud.size(), cfg.inputFeatureDim,
-                   std::vector<float>(cloud.features()));
+        nn::Matrix(cloud.size(), cfg.inputFeatureDim, cloud.features());
 
     StageTimer::ScopedStage scope(timer, kStageSample);
     // The whole sampling chain runs here: level i+1's positions are a
@@ -384,7 +383,8 @@ PointNetPP::featureStage(std::span<Frame> frames, StageTimer *timer)
                 // Eager: the rows are the grouped neighborhoods.
                 StageTimer::ScopedStage scope(timer, kStageGroup);
                 stacked = nn::Matrix(
-                    total_rows, 3 + frames[0].levels[i].saFeatures.cols());
+                    total_rows, 3 + frames[0].levels[i].saFeatures.cols(),
+                    nn::kUninitialized);
                 std::size_t offset = 0;
                 for (std::size_t b = 0; b < batch; ++b) {
                     const LevelState &cur = frames[b].levels[i];
@@ -457,7 +457,8 @@ PointNetPP::featureStage(std::span<Frame> frames, StageTimer *timer)
         const std::size_t sa_cols = frames[0].levels[fine].saFeatures.cols();
         // Up-sample into the left columns and the skip features into
         // the right columns of the stacked batch directly.
-        stacked = nn::Matrix(total_rows, up_cols + sa_cols);
+        stacked = nn::Matrix(total_rows, up_cols + sa_cols,
+                             nn::kUninitialized);
         {
             StageTimer::ScopedStage scope(timer, kStageGroup);
             std::size_t offset = 0;

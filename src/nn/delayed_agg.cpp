@@ -51,7 +51,7 @@ buildUnifiedRows(std::span<const Vec3> positions, const Matrix &features)
 {
     const std::size_t n = positions.size();
     const std::size_t feat_dim = features.empty() ? 0 : features.cols();
-    Matrix unified(n, 3 + feat_dim);
+    Matrix unified(n, 3 + feat_dim, kUninitialized);
     parallelFor(0, n, [&](std::size_t i) {
         float *dst = unified.data() + i * (3 + feat_dim);
         dst[0] = positions[i].x;
@@ -244,7 +244,7 @@ delayedSaFirstLinear(std::span<const Vec3> positions,
     const Matrix w_pos = weightRowSlab(weight, 0, 3);
     const Matrix psi = engine.multiply(centers, w_pos);
 
-    Matrix pre(n * k, c_out);
+    Matrix pre(n * k, c_out, kUninitialized);
     const float *phi_base = phi.data();
     const float *psi_base = psi.data();
     float *pre_base = pre.data();
@@ -336,7 +336,7 @@ delayedSaSingleStageInfer(std::span<const Vec3> positions,
     // with the max and ReLU is monotone, so no (n*k)-row matrix ever
     // exists — gatherMaxPoolInto pools the transformed unique rows
     // straight into the output.
-    Matrix out(n, c_out);
+    Matrix out(n, c_out, kUninitialized);
     gatherMaxPoolInto(phi, neighbors,
                       std::span<float>(out.data(), out.numel()));
     const float *psi_base = psi.data();
@@ -402,7 +402,7 @@ delayedEdgeFirstLinear(const Matrix &features,
     const auto [psi, phi] = delayedEdgeTerms(
         "delayedEdgeFirstLinear", features, neighbors, weight, bias, engine);
 
-    Matrix pre(n * k, c_out);
+    Matrix pre(n * k, c_out, kUninitialized);
     const float *phi_base = phi.data();
     const float *psi_base = psi.data();
     float *pre_base = pre.data();
@@ -435,7 +435,7 @@ delayedEdgeConvInfer(const Matrix &features, const NeighborLists &neighbors,
 {
     const auto [psi, phi] = delayedEdgeTerms(
         "delayedEdgeConvInfer", features, neighbors, weight, bias, engine);
-    Matrix out(neighbors.queries(), weight.cols());
+    Matrix out(neighbors.queries(), weight.cols(), kUninitialized);
     fusedTailPoolEdges(psi, phi, neighbors, &norm, act, out);
     return out;
 }

@@ -139,16 +139,37 @@ packBPanel(const float *__restrict b, bool b_transposed, std::size_t k,
 }
 
 /**
+ * The left operand as the A packer reads it. Row i of the logical
+ * M x K operand is a[i * lda + kk] for kk < head and row[kk - head] for
+ * kk >= head: head == K with no row is A itself, while a row makes it
+ * [A | broadcast(row)] without the broadcast ever being built. The
+ * transposed flavour (A stored K x M) never carries a row.
+ */
+struct LeftOperand
+{
+    const float *a;
+    bool transposed;
+    std::size_t lda;
+    std::size_t head;
+    const float *row;
+};
+
+/**
  * Pack one A row block (kMR rows starting at i0) into k-major layout:
  * dst[kk * kMR + ii], zero-padded to kMR rows. The transposed flavour
  * reads A stored as K x M (operand of A^T * B) straight from its rows.
+ * A broadcast row fills every row's columns past the head, so the
+ * packed values are exactly those of the materialized [A | row] block.
  */
 inline void
-packABlock(const float *__restrict a, bool a_transposed, std::size_t k,
-           std::size_t lda, std::size_t i0, std::size_t rows,
-           float *__restrict dst)
+packABlock(const LeftOperand &op, std::size_t k, std::size_t i0,
+           std::size_t rows, float *__restrict dst)
 {
-    if (!a_transposed) {
+    const float *__restrict a = op.a;
+    const std::size_t lda = op.lda;
+    if (!op.transposed) {
+        const std::size_t head = op.head;
+        const float *__restrict tail = op.row;
         if (rows == kMR) {
             // EDGEPC_HOT: full-height pack, six streaming read
             // cursors and contiguous writes (one kMR group per kk).
@@ -158,7 +179,7 @@ packABlock(const float *__restrict a, bool a_transposed, std::size_t k,
             const float *r3 = a + (i0 + 3) * lda;
             const float *r4 = a + (i0 + 4) * lda;
             const float *r5 = a + (i0 + 5) * lda;
-            for (std::size_t kk = 0; kk < k; ++kk) {
+            for (std::size_t kk = 0; kk < head; ++kk) {
                 float *d = dst + kk * kMR;
                 d[0] = r0[kk];
                 d[1] = r1[kk];
@@ -167,13 +188,27 @@ packABlock(const float *__restrict a, bool a_transposed, std::size_t k,
                 d[4] = r4[kk];
                 d[5] = r5[kk];
             }
+            // EDGEPC_HOT: broadcast-row columns, one value per kk.
+            for (std::size_t kk = head; kk < k; ++kk) {
+                const float v = tail[kk - head];
+                float *d = dst + kk * kMR;
+                for (std::size_t ii = 0; ii < kMR; ++ii) {
+                    d[ii] = v;
+                }
+            }
             return;
         }
         // EDGEPC_HOT: remainder row-block pack.
-        for (std::size_t kk = 0; kk < k; ++kk) {
+        for (std::size_t kk = 0; kk < head; ++kk) {
             float *d = dst + kk * kMR;
             for (std::size_t ii = 0; ii < rows; ++ii) {
                 d[ii] = a[(i0 + ii) * lda + kk];
+            }
+        }
+        for (std::size_t kk = head; kk < k; ++kk) {
+            float *d = dst + kk * kMR;
+            for (std::size_t ii = 0; ii < rows; ++ii) {
+                d[ii] = tail[kk - head];
             }
         }
     } else {
@@ -470,9 +505,7 @@ storeTileFma(const float *__restrict acc, float *__restrict c,
  *  (no heap allocation per call). */
 struct PackedGemmCtx
 {
-    const float *a;
-    bool aTransposed;
-    std::size_t lda;
+    LeftOperand left;
     const float *bpack;
     float *c;
     std::size_t m;
@@ -510,8 +543,7 @@ runTileChunk(const PackedGemmCtx &ctx, std::size_t lo, std::size_t hi)
         for (std::size_t i0 = row_lo; i0 < row_hi; i0 += kMR) {
             const std::size_t rows = std::min(kMR, row_hi - i0);
             if (packedBlock != i0) {
-                packABlock(ctx.a, ctx.aTransposed, ctx.k, ctx.lda, i0,
-                           rows, apack);
+                packABlock(ctx.left, ctx.k, i0, rows, apack);
                 packedBlock = i0;
             }
             for (std::size_t p = p_lo; p < p_hi; ++p) {
@@ -709,27 +741,41 @@ smallMFma(const float *__restrict a, bool a_transposed, std::size_t lda,
  * exactly one writer).
  */
 void
-gemmPacked(const float *a, bool a_transposed, const float *b,
-           bool b_transposed, float *c, std::size_t m, std::size_t k,
-           std::size_t n, GemmEpilogue epilogue, const float *bias,
-           bool accumulate, bool use_fma)
+gemmPacked(const LeftOperand &left, const float *b, bool b_transposed,
+           float *c, std::size_t m, std::size_t k, std::size_t n,
+           GemmEpilogue epilogue, const float *bias, bool accumulate,
+           bool use_fma)
 {
-    const std::size_t lda = a_transposed ? m : k;
     const std::size_t ldb = b_transposed ? k : n;
+    ScratchArena &arena = ScratchArena::local();
+    ScratchArena::Frame frame(arena);
     if (m < kMR) {
         // Packing B would touch all of B for < kMR rows of reuse.
+        const float *a = left.a;
+        std::size_t lda = left.lda;
+        if (left.row != nullptr) {
+            // The streaming kernels read plain rows: build the few
+            // [A | row] rows, with the same values the pack would hold.
+            float *rows = arena.alloc<float>(m * k).data();
+            for (std::size_t i = 0; i < m; ++i) {
+                float *dst = std::copy(left.a + i * left.lda,
+                                       left.a + i * left.lda + left.head,
+                                       rows + i * k);
+                std::copy(left.row, left.row + (k - left.head), dst);
+            }
+            a = rows;
+            lda = k;
+        }
         if (use_fma && !b_transposed) {
-            smallMFma(a, a_transposed, lda, b, c, m, k, n, epilogue, bias,
+            smallMFma(a, left.transposed, lda, b, c, m, k, n, epilogue, bias,
                       accumulate);
         } else {
-            smallMScalar(a, a_transposed, lda, b, b_transposed, ldb, c, m,
+            smallMScalar(a, left.transposed, lda, b, b_transposed, ldb, c, m,
                          k, n, epilogue, bias, accumulate);
         }
         return;
     }
 
-    ScratchArena &arena = ScratchArena::local();
-    ScratchArena::Frame frame(arena);
     const std::size_t panels = (n + kNR - 1) / kNR;
     float *bpack = arena.alloc<float>(panels * k * kNR).data();
     for (std::size_t p = 0; p < panels; ++p) {
@@ -744,11 +790,11 @@ gemmPacked(const float *a, bool a_transposed, const float *b,
     }
     const std::size_t panelsPerGroup = (panels + groups - 1) / groups;
 
-    const PackedGemmCtx ctx{a,      a_transposed, lda,
-                            bpack,  c,            m,
-                            k,      n,            panels,
-                            groups, panelsPerGroup, epilogue,
-                            bias,   accumulate,   use_fma};
+    const PackedGemmCtx ctx{left,   bpack,  c,
+                            m,      k,      n,
+                            panels, groups, panelsPerGroup,
+                            epilogue, bias, accumulate,
+                            use_fma};
     ThreadPool::globalPool().parallelForChunked(
         0, mblocks * groups,
         [&ctx](std::size_t lo, std::size_t hi) {
@@ -793,8 +839,8 @@ streamTileChunk(const TileStreamCtx &ctx, std::size_t lo, std::size_t hi)
         const std::size_t blocks = (row_hi - row_lo + kMR - 1) / kMR;
         for (std::size_t blk = 0; blk < blocks; ++blk) {
             const std::size_t i0 = row_lo + blk * kMR;
-            packABlock(ctx.a, false, ctx.k, ctx.k, i0,
-                       std::min(kMR, row_hi - i0),
+            packABlock(LeftOperand{ctx.a, false, ctx.k, ctx.k, nullptr},
+                       ctx.k, i0, std::min(kMR, row_hi - i0),
                        apack + blk * kMR * ctx.k);
         }
         for (std::size_t p = 0; p < ctx.panels; ++p) {
@@ -1338,9 +1384,28 @@ void
 GemmEngine::run(const float *a, bool a_transposed, const float *b,
                 bool b_transposed, float *c, std::size_t m, std::size_t k,
                 std::size_t n, GemmEpilogue epilogue, const float *bias,
-                bool accumulate)
+                bool accumulate, const float *a_row, std::size_t a_head)
 {
-    if (m == 0 || n == 0 || k == 0) {
+    if (m == 0 || n == 0) {
+        return;
+    }
+    if (k == 0) {
+        // An empty reduction: A * B is all zeros, and C still gets the
+        // epilogue of that zero, exactly as a k > 0 tile store would
+        // round it.
+        for (std::size_t i = 0; i < m; ++i) {
+            float *crow = c + i * n;
+            for (std::size_t j = 0; j < n; ++j) {
+                float v = accumulate ? crow[j] : 0.0f;
+                if (epilogue != GemmEpilogue::None) {
+                    v += bias[j];
+                    if (epilogue == GemmEpilogue::BiasRelu) {
+                        v = v > 0.0f ? v : 0.0f;
+                    }
+                }
+                crow[j] = v;
+            }
+        }
         return;
     }
     EDGEPC_TRACE_SCOPE("gemm", "nn");
@@ -1391,8 +1456,11 @@ GemmEngine::run(const float *a, bool a_transposed, const float *b,
         use_fma = fast && fmaAvailable();
         break;
     }
-    gemmPacked(a, a_transposed, b, b_transposed, c, m, k, n, epilogue,
-               bias, accumulate, use_fma);
+    const std::size_t head = a_row != nullptr ? a_head : k;
+    const LeftOperand left{a, a_transposed, a_transposed ? m : head, head,
+                           a_row};
+    gemmPacked(left, b, b_transposed, c, m, k, n, epilogue, bias, accumulate,
+               use_fma);
 }
 
 void
@@ -1423,7 +1491,7 @@ GemmEngine::multiply(const Matrix &a, const Matrix &b)
         fatal("GemmEngine::multiply: %zux%zu times %zux%zu", a.rows(),
               a.cols(), b.rows(), b.cols());
     }
-    Matrix c(a.rows(), b.cols());
+    Matrix c(a.rows(), b.cols(), kUninitialized);
     run(a.data(), false, b.data(), false, c.data(), a.rows(), a.cols(),
         b.cols(), GemmEpilogue::None, nullptr, false);
     return c;
@@ -1443,10 +1511,35 @@ GemmEngine::multiply(const Matrix &a, const Matrix &b,
               "width %zu",
               bias.rows(), bias.cols(), b.cols());
     }
-    Matrix c(a.rows(), b.cols());
+    Matrix c(a.rows(), b.cols(), kUninitialized);
     run(a.data(), false, b.data(), false, c.data(), a.rows(), a.cols(),
         b.cols(), epilogue,
         epilogue != GemmEpilogue::None ? bias.data() : nullptr, false);
+    return c;
+}
+
+Matrix
+GemmEngine::multiplyRowConcat(const Matrix &a, const Matrix &row,
+                              const Matrix &b, GemmEpilogue epilogue,
+                              const Matrix &bias)
+{
+    if (row.rows() != 1 || a.cols() + row.cols() != b.rows()) {
+        fatal("GemmEngine::multiplyRowConcat: [%zux%zu | %zux%zu] times "
+              "%zux%zu",
+              a.rows(), a.cols(), row.rows(), row.cols(), b.rows(),
+              b.cols());
+    }
+    if (epilogue != GemmEpilogue::None &&
+        (bias.rows() != 1 || bias.cols() != b.cols())) {
+        fatal("GemmEngine::multiplyRowConcat: bias %zux%zu does not match "
+              "output width %zu",
+              bias.rows(), bias.cols(), b.cols());
+    }
+    Matrix c(a.rows(), b.cols(), kUninitialized);
+    run(a.data(), false, b.data(), false, c.data(), a.rows(), b.rows(),
+        b.cols(), epilogue,
+        epilogue != GemmEpilogue::None ? bias.data() : nullptr, false,
+        row.data(), a.cols());
     return c;
 }
 
@@ -1459,7 +1552,7 @@ GemmEngine::multiplyTransposed(const Matrix &a, const Matrix &b)
     }
     // C = A * B^T: the packing step reads B's rows directly, so no
     // transposed copy is ever materialized.
-    Matrix c(a.rows(), b.rows());
+    Matrix c(a.rows(), b.rows(), kUninitialized);
     run(a.data(), false, b.data(), true, c.data(), a.rows(), a.cols(),
         b.rows(), GemmEpilogue::None, nullptr, false);
     return c;
@@ -1474,7 +1567,7 @@ GemmEngine::multiplyLeftTransposed(const Matrix &a, const Matrix &b)
               a.rows(), a.cols(), b.rows(), b.cols());
     }
     // C = A^T * B: the packing step reads A's columns directly.
-    Matrix c(a.cols(), b.cols());
+    Matrix c(a.cols(), b.cols(), kUninitialized);
     run(a.data(), true, b.data(), false, c.data(), a.cols(), a.rows(),
         b.cols(), GemmEpilogue::None, nullptr, false);
     return c;

@@ -124,12 +124,30 @@ class GemmEngine
               std::size_t k, std::size_t n, GemmEpilogue epilogue,
               const float *bias);
 
-    /** C = A * B over Matrix operands; shapes validated. */
+    /**
+     * C = A * B over Matrix operands; shapes validated. Every Matrix
+     * result here is allocated uninitialized: the GEMM writes each
+     * element, K = 0 included.
+     */
     Matrix multiply(const Matrix &a, const Matrix &b);
 
     /** C = A * B + epilogue; @p bias is 1 x N (ignored for None). */
     Matrix multiply(const Matrix &a, const Matrix &b,
                     GemmEpilogue epilogue, const Matrix &bias);
+
+    /**
+     * C = [A | broadcast(row)] * B + epilogue: every row of the left
+     * operand is a row of A (M x Ka) followed by the single row @p row
+     * (1 x Kr), and B is (Ka + Kr) x N. The M x Kr broadcast is never
+     * built: the A pack reads the head of each row from A and the rest
+     * from @p row, so the packed values and their K order are those of
+     * the materialized operand and C is bit-identical with
+     * multiply(concatCols(a, broadcastRow(row, M)), b, epilogue, bias)
+     * (DESIGN.md §18).
+     */
+    Matrix multiplyRowConcat(const Matrix &a, const Matrix &row,
+                             const Matrix &b, GemmEpilogue epilogue,
+                             const Matrix &bias);
 
     /**
      * C = A * B^T with A: M x K, B: N x K (used by backward passes).
@@ -238,12 +256,16 @@ class GemmEngine
   private:
     /**
      * Shared core: policy resolution, counters, then the packed
-     * kernel over (possibly transposed) operands.
+     * kernel over (possibly transposed) operands. With @p a_row set,
+     * the left operand is [A | broadcast(a_row)], A being M x @p a_head.
+     * K = 0 still writes C: the epilogue of a zero product (or C
+     * unchanged when accumulating).
      */
     void run(const float *a, bool a_transposed, const float *b,
              bool b_transposed, float *c, std::size_t m, std::size_t k,
              std::size_t n, GemmEpilogue epilogue, const float *bias,
-             bool accumulate);
+             bool accumulate, const float *a_row = nullptr,
+             std::size_t a_head = 0);
 
     GemmMode policy;
     std::size_t channelThreshold;

@@ -33,7 +33,7 @@ gatherRowsInto(const Matrix &features,
 Matrix
 gatherRows(const Matrix &features, std::span<const std::uint32_t> indices)
 {
-    Matrix out(indices.size(), features.cols());
+    Matrix out(indices.size(), features.cols(), kUninitialized);
     gatherRowsInto(features, indices,
                    std::span<float>(out.data(), out.numel()));
     return out;
@@ -61,7 +61,7 @@ gatherLinear(const Matrix &features,
     gatherRowsInto(features, indices, gathered);
 
     const bool has_bias = bias.numel() > 0;
-    Matrix out(m, c_out);
+    Matrix out(m, c_out, kUninitialized);
     engine.gemm(gathered.data(), weight.data(), out.data(), m, c_in,
                 c_out, has_bias ? GemmEpilogue::Bias : GemmEpilogue::None,
                 has_bias ? bias.data() : nullptr);
@@ -105,7 +105,7 @@ gatherMaxPoolInto(const Matrix &features, const NeighborLists &neighbors,
 Matrix
 gatherMaxPool(const Matrix &features, const NeighborLists &neighbors)
 {
-    Matrix out(neighbors.queries(), features.cols());
+    Matrix out(neighbors.queries(), features.cols(), kUninitialized);
     gatherMaxPoolInto(features, neighbors,
                       std::span<float>(out.data(), out.numel()));
     return out;
@@ -159,7 +159,8 @@ groupWithRelativeCoords(std::span<const Vec3> positions,
                         const NeighborLists &neighbors)
 {
     const std::size_t feat_dim = features.empty() ? 0 : features.cols();
-    Matrix out(sample_indices.size() * neighbors.k, 3 + feat_dim);
+    Matrix out(sample_indices.size() * neighbors.k, 3 + feat_dim,
+               kUninitialized);
     groupWithRelativeCoordsInto(positions, features, sample_indices,
                                 neighbors,
                                 std::span<float>(out.data(), out.numel()));
@@ -202,7 +203,8 @@ edgeFeaturesInto(const Matrix &features, const NeighborLists &neighbors,
 Matrix
 edgeFeatures(const Matrix &features, const NeighborLists &neighbors)
 {
-    Matrix out(neighbors.queries() * neighbors.k, 2 * features.cols());
+    Matrix out(neighbors.queries() * neighbors.k, 2 * features.cols(),
+               kUninitialized);
     edgeFeaturesInto(features, neighbors,
                      std::span<float>(out.data(), out.numel()));
     return out;
@@ -215,7 +217,7 @@ applyInterpolation(const InterpolationPlan &plan,
     const std::size_t targets = plan.targets();
     const std::size_t c = source_features.cols();
 
-    Matrix out(targets, c);
+    Matrix out(targets, c, kUninitialized);
     applyInterpolationInto(plan, source_features,
                            std::span<float>(out.data(), out.numel()), c);
     return out;

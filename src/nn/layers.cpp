@@ -58,6 +58,23 @@ Linear::forward(const Matrix &input, bool train)
 }
 
 Matrix
+Linear::forwardRowConcat(const Matrix &input, const Matrix &row)
+{
+    const std::size_t in = weight.value.rows();
+    if (row.rows() != 1 || input.cols() + row.cols() != in) {
+        fatal("Linear::forwardRowConcat: [%zux%zu | %zux%zu] into weight "
+              "dim %zu",
+              input.rows(), input.cols(), row.rows(), row.cols(), in);
+    }
+    if (resolveQuantGemm(quantConfig, input.rows(), in)) {
+        return forward(concatCols(input, broadcastRow(row, input.rows())),
+                       false);
+    }
+    return gemm().multiplyRowConcat(input, row, weight.value,
+                                    GemmEpilogue::Bias, bias.value);
+}
+
+Matrix
 Linear::backward(const Matrix &grad_output)
 {
     // dW += X^T * dY ; db += column sums of dY ; dX = dY * W^T.
@@ -190,7 +207,8 @@ BatchNorm::forward(const Matrix &input, bool train)
         fatal("BatchNorm::forward: feature dim %zu != configured %zu",
               cols, runningMean.size());
     }
-    Matrix out(rows, cols);
+    // Both routes below write every element.
+    Matrix out(rows, cols, kUninitialized);
     if (!train) {
         // Inference is the fused tail's kernel (DESIGN.md §17): the
         // same statistics policy, one pass over the rows.
@@ -321,7 +339,7 @@ Matrix
 ReLU::forward(const Matrix &input, bool train)
 {
     if (!train) {
-        Matrix out(input.rows(), input.cols());
+        Matrix out(input.rows(), input.cols(), kUninitialized);
         const std::size_t segment[] = {input.rows()};
         fusedTailRows(input, out, segment, nullptr, *activation());
         return out;
@@ -362,7 +380,7 @@ Matrix
 LeakyReLU::forward(const Matrix &input, bool train)
 {
     if (!train) {
-        Matrix out(input.rows(), input.cols());
+        Matrix out(input.rows(), input.cols(), kUninitialized);
         const std::size_t segment[] = {input.rows()};
         fusedTailRows(input, out, segment, nullptr, *activation());
         return out;
@@ -503,7 +521,7 @@ Sequential::inferLayers(const Matrix *&src, Matrix &x,
                 norm = bn->tailNorm(in.cols());
             }
             if (src != nullptr) {
-                x = Matrix(in.rows(), in.cols());
+                x = Matrix(in.rows(), in.cols(), kUninitialized);
             }
             fusedTailRows(in, x, segs, bn != nullptr ? &norm : nullptr,
                           act.value_or(Activation{}));
@@ -527,7 +545,7 @@ Sequential::inferLayers(const Matrix *&src, Matrix &x,
                       segs[s], y.rows());
             }
             if (s == 0) {
-                out = Matrix(in.rows(), y.cols());
+                out = Matrix(in.rows(), y.cols(), kUninitialized);
             }
             std::copy(y.data(), y.data() + y.numel(),
                       out.data() + offset * y.cols());
@@ -616,7 +634,8 @@ Sequential::inferPooled(const Matrix *src, Matrix &x,
         if (group_k[s] == 0) {
             fatal("forwardPooled: group size must be > 0");
         }
-        out[s] = Matrix(segment_rows[s] / group_k[s], in.cols());
+        out[s] = Matrix(segment_rows[s] / group_k[s], in.cols(),
+                        kUninitialized);
     }
     TailNorm norm;
     if (bn != nullptr) {
@@ -717,7 +736,8 @@ MaxPoolNeighbors::forward(const Matrix &input, bool train)
     }
     const std::size_t points = input.rows() / k;
     const std::size_t cols = input.cols();
-    Matrix out(points, cols);
+    // Both routes below write every element.
+    Matrix out(points, cols, kUninitialized);
     if (!train) {
         const std::size_t segment[] = {input.rows()};
         const std::size_t group[] = {k};
@@ -777,7 +797,8 @@ GlobalMaxPool::forward(const Matrix &input, bool train)
         fatal("GlobalMaxPool: empty input");
     }
     const std::size_t cols = input.cols();
-    Matrix out(1, cols);
+    // Both routes below write every element.
+    Matrix out(1, cols, kUninitialized);
     if (!train) {
         // One group of every row, split over the columns.
         const std::size_t segment[] = {input.rows()};

@@ -113,6 +113,16 @@ class Linear : public Layer
     bool rowIndependentInference() const override { return true; }
     void setQuantMode(QuantMode mode) override { quantConfig = mode; }
 
+    /**
+     * Inference forward of [input | broadcast(row)] — a segmentation
+     * head's per-point features next to the one global feature row —
+     * without building the broadcast (GemmEngine::multiplyRowConcat).
+     * Bit-identical with forward(concatCols(input, broadcastRow(row,
+     * input.rows())), false); when the int8 route takes this layer, it
+     * quantizes that materialized operand.
+     */
+    Matrix forwardRowConcat(const Matrix &input, const Matrix &row);
+
     std::size_t inDim() const { return weight.value.rows(); }
     std::size_t outDim() const { return weight.value.cols(); }
 

@@ -12,8 +12,14 @@ Matrix::Matrix(std::size_t rows, std::size_t cols)
 {
 }
 
-Matrix::Matrix(std::size_t rows, std::size_t cols, std::vector<float> data)
-    : nRows(rows), nCols(cols), buf(std::move(data))
+Matrix::Matrix(std::size_t rows, std::size_t cols, Uninitialized)
+    : nRows(rows), nCols(cols), buf(rows * cols)
+{
+}
+
+Matrix::Matrix(std::size_t rows, std::size_t cols,
+               const std::vector<float> &data)
+    : nRows(rows), nCols(cols), buf(data.begin(), data.end())
 {
     if (buf.size() != rows * cols) {
         fatal("Matrix: data size %zu != %zu x %zu", buf.size(), rows, cols);
@@ -65,21 +71,53 @@ Matrix::scale(float factor)
     }
 }
 
+namespace {
+
+/** [parts[0] | parts[1] | ...], each output row written once. */
+Matrix
+concatColsOf(std::span<const Matrix *const> parts)
+{
+    const std::size_t rows = parts.front()->rows();
+    std::size_t cols = 0;
+    for (const Matrix *part : parts) {
+        if (part->rows() != rows) {
+            fatal("concatCols: row mismatch (%zu vs %zu)", part->rows(),
+                  rows);
+        }
+        cols += part->cols();
+    }
+    Matrix out(rows, cols, kUninitialized);
+    for (std::size_t r = 0; r < rows; ++r) {
+        float *dst = out.data() + r * cols;
+        for (const Matrix *part : parts) {
+            const float *src = part->data() + r * part->cols();
+            dst = std::copy(src, src + part->cols(), dst);
+        }
+    }
+    return out;
+}
+
+} // namespace
+
 Matrix
 concatCols(const Matrix &a, const Matrix &b)
 {
-    if (a.rows() != b.rows()) {
-        fatal("concatCols: row mismatch (%zu vs %zu)", a.rows(), b.rows());
+    const Matrix *const parts[] = {&a, &b};
+    return concatColsOf(parts);
+}
+
+Matrix
+concatCols(std::span<const Matrix> parts)
+{
+    if (parts.empty()) {
+        return Matrix();
     }
-    Matrix out(a.rows(), a.cols() + b.cols());
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        float *dst = out.data() + r * out.cols();
-        const float *ra = a.data() + r * a.cols();
-        const float *rb = b.data() + r * b.cols();
-        std::copy(ra, ra + a.cols(), dst);
-        std::copy(rb, rb + b.cols(), dst + a.cols());
+    std::vector<const Matrix *> ptrs;
+    ptrs.reserve(parts.size());
+    for (const Matrix &part : parts) {
+        ptrs.push_back(&part);
     }
-    return out;
+    return concatColsOf(ptrs);
 }
 
 std::pair<Matrix, Matrix>
@@ -88,8 +126,8 @@ splitCols(const Matrix &m, std::size_t left_cols)
     if (left_cols > m.cols()) {
         fatal("splitCols: left_cols %zu > cols %zu", left_cols, m.cols());
     }
-    Matrix left(m.rows(), left_cols);
-    Matrix right(m.rows(), m.cols() - left_cols);
+    Matrix left(m.rows(), left_cols, kUninitialized);
+    Matrix right(m.rows(), m.cols() - left_cols, kUninitialized);
     for (std::size_t r = 0; r < m.rows(); ++r) {
         const float *src = m.data() + r * m.cols();
         std::copy(src, src + left_cols, left.data() + r * left_cols);
@@ -114,7 +152,7 @@ concatRows(std::span<const Matrix> parts)
         }
         rows += part.rows();
     }
-    Matrix out(rows, cols);
+    Matrix out(rows, cols, kUninitialized);
     float *dst = out.data();
     for (const Matrix &part : parts) {
         std::copy(part.data(), part.data() + part.numel(), dst);
@@ -130,7 +168,7 @@ sliceRows(const Matrix &m, std::size_t begin, std::size_t end)
         fatal("sliceRows: bad range [%zu, %zu) for %zu rows", begin, end,
               m.rows());
     }
-    Matrix out(end - begin, m.cols());
+    Matrix out(end - begin, m.cols(), kUninitialized);
     const float *src = m.data() + begin * m.cols();
     std::copy(src, src + out.numel(), out.data());
     return out;
@@ -142,7 +180,7 @@ broadcastRow(const Matrix &row, std::size_t copies)
     if (row.rows() != 1) {
         fatal("broadcastRow: expected a single row, got %zu", row.rows());
     }
-    Matrix out(copies, row.cols());
+    Matrix out(copies, row.cols(), kUninitialized);
     for (std::size_t r = 0; r < copies; ++r) {
         std::copy(row.data(), row.data() + row.cols(),
                   out.data() + r * row.cols());

@@ -11,13 +11,54 @@
 #define EDGEPC_NN_TENSOR_HPP
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 
 namespace edgepc {
 namespace nn {
+
+/**
+ * std::allocator whose value-less construct() default-initializes, so
+ * a sized vector of floats is allocated without being zero-filled.
+ */
+template <class T>
+struct DefaultInitAllocator : std::allocator<T>
+{
+    template <class U>
+    struct rebind
+    {
+        using other = DefaultInitAllocator<U>;
+    };
+
+    DefaultInitAllocator() = default;
+    template <class U>
+    DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept
+    {
+    }
+
+    template <class U>
+    void construct(U *p)
+    {
+        ::new (static_cast<void *>(p)) U;
+    }
+    template <class U, class... Args>
+    void construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+};
+
+/** Tag selecting Matrix's uninitialized constructor. */
+struct Uninitialized
+{
+    explicit Uninitialized() = default;
+};
+inline constexpr Uninitialized kUninitialized{};
 
 /** Row-major dense float matrix. */
 class Matrix
@@ -28,8 +69,16 @@ class Matrix
     /** Zero-initialized rows x cols matrix. */
     Matrix(std::size_t rows, std::size_t cols);
 
-    /** Matrix adopting existing data (size must be rows * cols). */
-    Matrix(std::size_t rows, std::size_t cols, std::vector<float> data);
+    /**
+     * rows x cols matrix whose elements hold whatever the allocator
+     * returned. Only for a result whose next writer sets every element
+     * before anything reads one (DESIGN.md §18).
+     */
+    Matrix(std::size_t rows, std::size_t cols, Uninitialized);
+
+    /** Matrix holding a copy of @p data (size must be rows * cols). */
+    Matrix(std::size_t rows, std::size_t cols,
+           const std::vector<float> &data);
 
     std::size_t rows() const { return nRows; }
     std::size_t cols() const { return nCols; }
@@ -74,18 +123,21 @@ class Matrix
     /** Elementwise in-place scaling. */
     void scale(float factor);
 
-    /** Underlying storage (for serialization). */
-    std::vector<float> &storage() { return buf; }
-    const std::vector<float> &storage() const { return buf; }
-
   private:
     std::size_t nRows = 0;
     std::size_t nCols = 0;
-    std::vector<float> buf;
+    std::vector<float, DefaultInitAllocator<float>> buf;
 };
 
 /** Column-wise concatenation: [a | b]; row counts must match. */
 Matrix concatCols(const Matrix &a, const Matrix &b);
+
+/**
+ * Column-wise concatenation of every part, left to right, in one
+ * pass; row counts must match (empty parts list yields an empty
+ * matrix).
+ */
+Matrix concatCols(std::span<const Matrix> parts);
 
 /**
  * Split @p m into its first @p left_cols columns and the rest

@@ -152,6 +152,30 @@ TEST(FatalPathsDeathTest, MatrixShapeChecks)
     EXPECT_DEATH(nn::broadcastRow(nn::Matrix(2, 2), 3), "single row");
 }
 
+TEST(FatalPathsDeathTest, RowConcatShapeChecks)
+{
+    nn::GemmEngine engine(nn::GemmMode::Auto);
+    const nn::Matrix bias(1, 4);
+    // Two-row "row", and a K that misses B's rows by one.
+    EXPECT_DEATH(engine.multiplyRowConcat(nn::Matrix(3, 2), nn::Matrix(2, 2),
+                                          nn::Matrix(4, 4),
+                                          nn::GemmEpilogue::Bias, bias),
+                 "multiplyRowConcat");
+    EXPECT_DEATH(engine.multiplyRowConcat(nn::Matrix(3, 2), nn::Matrix(1, 1),
+                                          nn::Matrix(4, 4),
+                                          nn::GemmEpilogue::Bias, bias),
+                 "multiplyRowConcat");
+    EXPECT_DEATH(engine.multiplyRowConcat(nn::Matrix(3, 2), nn::Matrix(1, 2),
+                                          nn::Matrix(4, 4),
+                                          nn::GemmEpilogue::Bias,
+                                          nn::Matrix(1, 3)),
+                 "bias");
+    Rng rng(3);
+    nn::Linear linear(5, 4, rng);
+    EXPECT_DEATH(linear.forwardRowConcat(nn::Matrix(3, 2), nn::Matrix(1, 2)),
+                 "forwardRowConcat");
+}
+
 TEST(FatalPathsDeathTest, PointCloudConsistencyChecks)
 {
     PointCloud cloud({{0, 0, 0}, {1, 1, 1}});

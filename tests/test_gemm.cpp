@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -451,6 +452,106 @@ TEST(GemmEpilogue, MissingBiasRaises)
     EXPECT_THROW(engine.gemm(a.data(), b.data(), c.data(), 4, 4, 4,
                              GemmEpilogue::Bias, nullptr),
                  EdgePcException);
+}
+
+/**
+ * K = 0: A * B is an empty sum, so C must still hold the epilogue of
+ * zero — the bias (rectified for BiasRelu), or zeros for None — on
+ * the raw-pointer and every Matrix entry point, whatever C held.
+ */
+TEST(GemmEpilogue, EmptyReductionStillWritesEpilogue)
+{
+    GemmEngine engine(GemmMode::Auto);
+    const std::size_t m = 7, n = 19;
+    const Matrix a(m, 0);
+    const Matrix b(0, n);
+    const Matrix bias = randomMatrix(1, n, 9950);
+    std::vector<float> c(m * n, std::nanf(""));
+    engine.gemm(a.data(), b.data(), c.data(), m, 0, n, GemmEpilogue::Bias,
+                bias.data());
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        ASSERT_EQ(c[i], bias.data()[i % n]) << "element " << i;
+    }
+    std::fill(c.begin(), c.end(), std::nanf(""));
+    engine.gemm(a.data(), b.data(), c.data(), m, 0, n);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        ASSERT_EQ(c[i], 0.0f) << "element " << i;
+    }
+
+    const Matrix with_bias = engine.multiply(a, b, GemmEpilogue::Bias, bias);
+    const Matrix with_relu =
+        engine.multiply(a, b, GemmEpilogue::BiasRelu, bias);
+    const Matrix plain = engine.multiply(a, b);
+    ASSERT_EQ(with_bias.rows(), m);
+    ASSERT_EQ(with_bias.cols(), n);
+    for (std::size_t r = 0; r < m; ++r) {
+        for (std::size_t j = 0; j < n; ++j) {
+            const float v = bias.at(0, j);
+            EXPECT_EQ(with_bias.at(r, j), v);
+            EXPECT_EQ(with_relu.at(r, j), v > 0.0f ? v : 0.0f);
+            EXPECT_EQ(plain.at(r, j), 0.0f);
+        }
+    }
+    // The transpose-free and row-concat variants reduce over an empty
+    // K the same way.
+    expectBitExact(engine.multiplyTransposed(a, Matrix(n, 0)), Matrix(m, n));
+    expectBitExact(engine.multiplyLeftTransposed(Matrix(0, m), b),
+                   Matrix(m, n));
+    expectBitExact(engine.multiplyRowConcat(a, Matrix(1, 0), b,
+                                            GemmEpilogue::Bias, bias),
+                   with_bias);
+}
+
+// ---------------------------------------------------------------------
+// [A | broadcast(row)] * B without the broadcast
+// ---------------------------------------------------------------------
+
+/**
+ * multiplyRowConcat against multiply over the materialized operand,
+ * float ==, across the microkernel's row remainders (m), empty and
+ * wide heads, tails from one column to a global-feature width, and
+ * every epilogue. The engine runs GemmMode::Auto, so thin K takes the
+ * scalar policy and wide K the fast one under the Auto dispatch path.
+ */
+void
+checkRowConcatOnPath(GemmDispatchPath path)
+{
+    const DispatchPathGuard guard(path);
+    GemmEngine engine(GemmMode::Auto);
+    const std::size_t n = 33;
+    const GemmEpilogue epilogues[] = {GemmEpilogue::None, GemmEpilogue::Bias,
+                                      GemmEpilogue::BiasRelu};
+    std::uint64_t seed = 12000;
+    for (const std::size_t m : {1, 5, 6, 7, 13, 97}) {
+        for (const std::size_t left : {0, 1, 64, 192}) {
+            for (const std::size_t width : {1, 17, 1024}) {
+                const Matrix a = randomMatrix(m, left, seed++);
+                const Matrix row = randomMatrix(1, width, seed++);
+                const Matrix b = randomMatrix(left + width, n, seed++);
+                const Matrix bias = randomMatrix(1, n, seed++);
+                const Matrix operand = concatCols(a, broadcastRow(row, m));
+                for (const GemmEpilogue ep : epilogues) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "m=" << m << " left=" << left
+                                 << " width=" << width << " epilogue="
+                                 << static_cast<int>(ep));
+                    expectBitExact(
+                        engine.multiplyRowConcat(a, row, b, ep, bias),
+                        engine.multiply(operand, b, ep, bias));
+                }
+            }
+        }
+    }
+}
+
+TEST(GemmRowConcat, MatchesMaterializedOperandForcedScalar)
+{
+    checkRowConcatOnPath(GemmDispatchPath::ForceScalar);
+}
+
+TEST(GemmRowConcat, MatchesMaterializedOperandAutoDispatch)
+{
+    checkRowConcatOnPath(GemmDispatchPath::Auto);
 }
 
 } // namespace

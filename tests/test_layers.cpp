@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -300,9 +301,9 @@ TEST(GlobalMaxPool, ReducesToOneRow)
 
 /** Oracle: BatchNorm::forward(x, false) as the serial loops computed it. */
 Matrix
-oracleBatchNorm(const Matrix &input, const std::vector<float> &g,
-                const std::vector<float> &b, const std::vector<float> &rm,
-                const std::vector<float> &rv, float eps)
+oracleBatchNorm(const Matrix &input, std::span<const float> g,
+                std::span<const float> b, std::span<const float> rm,
+                std::span<const float> rv, float eps)
 {
     const std::size_t rows = input.rows();
     const std::size_t cols = input.cols();
@@ -330,8 +331,8 @@ oracleBatchNorm(const Matrix &input, const std::vector<float> &g,
             var[c] *= inv_rows;
         }
     } else {
-        mean = rm;
-        var = rv;
+        mean.assign(rm.begin(), rm.end());
+        var.assign(rv.begin(), rv.end());
     }
     for (std::size_t c = 0; c < cols; ++c) {
         inv[c] = 1.0f / std::sqrt(var[c] + eps);
@@ -414,8 +415,8 @@ struct TailFixture
         std::size_t offset = 0;
         for (const std::size_t rows : segs) {
             Matrix seg = sliceRows(x, offset, offset + rows);
-            Matrix y = norm ? oracleBatchNorm(seg, gamma->storage(),
-                                              beta->storage(), *runMean,
+            Matrix y = norm ? oracleBatchNorm(seg, gamma->row(0),
+                                              beta->row(0), *runMean,
                                               *runVar, 1e-5f)
                             : seg;
             oracleActivate(y, act);

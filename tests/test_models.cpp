@@ -11,12 +11,52 @@
 #include "datasets/scenes.hpp"
 #include "datasets/shapes.hpp"
 #include "models/dgcnn.hpp"
+#include "models/pointnet.hpp"
 #include "models/pointnetpp.hpp"
 #include "nn/delayed_agg.hpp"
 #include "nn/gemm.hpp"
 #include "nn/quant.hpp"
 
 namespace edgepc {
+
+/**
+ * The segmentation heads as they ran before the row-concat route: the
+ * head's full forward over the materialized [features | broadcast(
+ * pooled)] operand, from the model's own layers.
+ */
+struct ModelProbe
+{
+    /** Dgcnn: reads the EdgeConv outputs of the last infer(). */
+    static nn::Matrix materializedHead(Dgcnn &model)
+    {
+        const nn::Matrix concat = nn::concatCols(model.ecOutputs);
+        const std::size_t rows[] = {concat.rows()};
+        const nn::Matrix pooled = std::move(
+            model.embedding.forwardPooled(concat, rows, rows).front());
+        return model.head.forward(
+            nn::concatCols(concat, nn::broadcastRow(pooled, rows[0])),
+            false);
+    }
+
+    static nn::Matrix materializedHead(PointNet &model,
+                                       const PointCloud &cloud)
+    {
+        nn::Matrix coords(cloud.size(), 3);
+        for (std::size_t i = 0; i < cloud.size(); ++i) {
+            const Vec3 &p = cloud.position(i);
+            coords.at(i, 0) = p.x;
+            coords.at(i, 1) = p.y;
+            coords.at(i, 2) = p.z;
+        }
+        const nn::Matrix features = model.pointMlp.forward(coords, false);
+        const nn::Matrix pooled = model.globalPool.forward(features, false);
+        return model.head.forward(
+            nn::concatCols(features,
+                           nn::broadcastRow(pooled, cloud.size())),
+            false);
+    }
+};
+
 namespace {
 
 /**
@@ -363,6 +403,91 @@ TEST(Dgcnn, DelayedAggregationMatchesEagerSegmentation)
     expectLogitsNear(eager.infer(cloud, EdgePcConfig::baseline()),
                      delayed.infer(cloud, EdgePcConfig::baseline()),
                      5e-3f);
+}
+
+/** Restores the global engine's policy and the dispatch path. */
+class GemmAutoGuard
+{
+  public:
+    explicit GemmAutoGuard(nn::GemmDispatchPath path)
+        : mode(nn::GemmEngine::globalEngine().mode()),
+          saved(nn::GemmEngine::dispatchPath())
+    {
+        // globalEngine() starts in Scalar; the row-concat check wants
+        // the policy that sends wide K to the fast kernel.
+        nn::GemmEngine::globalEngine().setMode(nn::GemmMode::Auto);
+        nn::GemmEngine::setDispatchPath(path);
+    }
+    ~GemmAutoGuard()
+    {
+        nn::GemmEngine::globalEngine().setMode(mode);
+        nn::GemmEngine::setDispatchPath(saved);
+    }
+
+  private:
+    nn::GemmMode mode;
+    nn::GemmDispatchPath saved;
+};
+
+/**
+ * The segmentation heads' row-concat route against the materialized
+ * operand, float ==, under both dispatch paths, both model
+ * configurations, and with every Linear forced onto the int8 route
+ * (where the head's first Linear falls back to the materialized
+ * operand itself).
+ */
+template <class Run>
+void
+checkSegHeadRoutes(const Run &run)
+{
+    const nn::QuantMode saved = nn::quantGemmMode();
+    for (const nn::QuantMode quant :
+         {nn::QuantMode::Off, nn::QuantMode::On}) {
+        nn::setQuantGemmMode(quant);
+        for (const nn::GemmDispatchPath path :
+             {nn::GemmDispatchPath::ForceScalar, nn::GemmDispatchPath::Auto}) {
+            const GemmAutoGuard gemm(path);
+            for (const EdgePcConfig &cfg :
+                 {EdgePcConfig::baseline(), EdgePcConfig::snf()}) {
+                SCOPED_TRACE(testing::Message()
+                             << "int8=" << (quant == nn::QuantMode::On)
+                             << " path=" << static_cast<int>(path)
+                             << " approximate=" << cfg.approximate());
+                run(cfg);
+            }
+        }
+    }
+    nn::setQuantGemmMode(saved);
+}
+
+void
+expectIdenticalLogits(const nn::Matrix &got, const nn::Matrix &want)
+{
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+        ASSERT_EQ(got.data()[i], want.data()[i]) << "element " << i;
+    }
+}
+
+TEST(GemmRowConcat, DgcnnLiteSegLogitsMatchMaterializedHead)
+{
+    const PointCloud cloud = makeCloud(200, 31);
+    Dgcnn model(DgcnnConfig::liteSegmentation(5), 7);
+    checkSegHeadRoutes([&](const EdgePcConfig &cfg) {
+        const nn::Matrix logits = model.infer(cloud, cfg);
+        expectIdenticalLogits(logits, ModelProbe::materializedHead(model));
+    });
+}
+
+TEST(GemmRowConcat, PointNetSegLogitsMatchMaterializedHead)
+{
+    const PointCloud cloud = makeCloud(200, 32);
+    PointNet model(PointNetConfig::segmentationConfig(5), 7);
+    checkSegHeadRoutes([&](const EdgePcConfig &cfg) {
+        expectIdenticalLogits(model.infer(cloud, cfg),
+                              ModelProbe::materializedHead(model, cloud));
+    });
 }
 
 TEST(Dgcnn, ClassificationForwardShapes)

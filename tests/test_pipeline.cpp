@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/pipeline.hpp"
 #include "core/workloads.hpp"
 #include "datasets/scenes.hpp"
 #include "models/pointnetpp.hpp"
 #include "nn/gemm.hpp"
+#include "obs/trace.hpp"
 
 namespace edgepc {
 namespace {
@@ -47,15 +52,62 @@ TEST(Pipeline, SnVariantSpeedsUpSampleNeighbor)
     EXPECT_LT(rs.energyMj, rb.energyMj);
 }
 
+/** Stage spans recorded per stage name while @p body runs. */
+template <class Body>
+std::map<std::string, std::size_t>
+stageSpanCounts(const Body &body)
+{
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    body();
+    tracer.setEnabled(false);
+    std::map<std::string, std::size_t> counts;
+    for (const obs::SpanEvent &span : tracer.snapshot()) {
+        if (span.category == "stage") {
+            ++counts[span.name];
+        }
+    }
+    tracer.clear();
+    return counts;
+}
+
+/**
+ * A batch's result accumulates over its frames: its busy time is its
+ * stage totals' sum, every stage a single frame runs shows up, and the
+ * batch runs exactly the stage scopes of its frames run one by one.
+ */
 TEST(Pipeline, BatchAccumulatesTotals)
 {
     PointNetPP model(PointNetPPConfig::liteSegmentation(256, 5), 7);
     InferencePipeline pipeline(model, EdgePcConfig::baseline());
     const std::vector<PointCloud> clouds = {sceneCloud(256, 3),
                                             sceneCloud(256, 4)};
-    const PipelineResult one = pipeline.run(clouds[0]);
-    const PipelineResult both = pipeline.runBatch(clouds);
-    EXPECT_GT(both.endToEndMs, one.endToEndMs);
+    std::map<std::string, std::size_t> singles;
+    std::vector<std::string> stages;
+    for (const PointCloud &cloud : clouds) {
+        PipelineResult one;
+        const auto counts = stageSpanCounts([&] { one = pipeline.run(cloud); });
+        for (const auto &[name, count] : counts) {
+            singles[name] += count;
+        }
+        for (const auto &entry : one.stages.entries()) {
+            stages.push_back(entry.first);
+        }
+    }
+    PipelineResult both;
+    const auto batch =
+        stageSpanCounts([&] { both = pipeline.runBatch(clouds); });
+
+    EXPECT_EQ(both.busyMs, both.stages.grandTotal());
+    ASSERT_FALSE(stages.empty());
+    for (const std::string &stage : stages) {
+        EXPECT_GT(both.stages.total(stage), 0.0) << stage;
+    }
+#if EDGEPC_TRACING
+    EXPECT_FALSE(singles.empty());
+    EXPECT_EQ(batch, singles);
+#endif
 }
 
 TEST(Pipeline, TensorCoreVariantSetsGemmMode)

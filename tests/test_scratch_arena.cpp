@@ -27,11 +27,14 @@
 #include "common/rng.hpp"
 #include "common/scratch_arena.hpp"
 #include "common/thread_pool.hpp"
+#include "datasets/shapes.hpp"
+#include "models/dgcnn.hpp"
 #include "neighbor/ball_query.hpp"
 #include "neighbor/brute_force.hpp"
 #include "neighbor/morton_window.hpp"
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
+#include "nn/quant.hpp"
 #include "sampling/fps.hpp"
 #include "sampling/morton_sampler.hpp"
 
@@ -39,20 +42,32 @@ namespace {
 
 std::atomic<std::uint64_t> g_heapAllocs{0};
 std::atomic<std::uint64_t> g_heapBytes{0};
+/** Largest single allocation since the last reset to 0. */
+std::atomic<std::uint64_t> g_heapMaxBlock{0};
+
+void
+countAlloc(std::size_t size)
+{
+    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    g_heapBytes.fetch_add(size, std::memory_order_relaxed);
+    std::uint64_t seen = g_heapMaxBlock.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !g_heapMaxBlock.compare_exchange_weak(seen, size,
+                                                 std::memory_order_relaxed)) {
+    }
+}
 
 void *
 countedAlloc(std::size_t size)
 {
-    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
-    g_heapBytes.fetch_add(size, std::memory_order_relaxed);
+    countAlloc(size);
     return std::malloc(size == 0 ? 1 : size);
 }
 
 void *
 countedAlignedAlloc(std::size_t size, std::size_t align)
 {
-    g_heapAllocs.fetch_add(1, std::memory_order_relaxed);
-    g_heapBytes.fetch_add(size, std::memory_order_relaxed);
+    countAlloc(size);
     if (align < sizeof(void *)) {
         align = sizeof(void *);
     }
@@ -623,6 +638,46 @@ TEST(ScratchArenaZeroAlloc, FusedTailBlockSteadyState)
                                16u * 1024u);
     ASSERT_EQ(pooled.size(), 1u);
     EXPECT_EQ(pooled[0].rows(), groups);
+}
+
+/**
+ * A steady-state DGCNN lite-seg frame: no single heap block reaches
+ * the n x (concat + embedding) floats of the materialized
+ * [concat | broadcast(pooled)] head operand (DESIGN.md §18). The
+ * largest block left is an embedding-width activation.
+ */
+TEST(ScratchArenaZeroAlloc, DgcnnSegHeadBuildsNoBroadcastOperand)
+{
+    // The fp32 route: int8 (EDGEPC_GEMM=int8) quantizes a materialized
+    // operand by design.
+    const nn::QuantMode quant = nn::quantGemmMode();
+    nn::setQuantGemmMode(nn::QuantMode::Off);
+    const std::size_t n = 1024;
+    const DgcnnConfig cfg = DgcnnConfig::liteSegmentation(5);
+    Dgcnn model(cfg, 7);
+    Rng rng(71);
+    ShapeOptions options;
+    options.points = n;
+    const PointCloud cloud = makeShape(ShapeClass::Torus, options, rng);
+    const EdgePcConfig config = EdgePcConfig::snf();
+    for (int warm = 0; warm < 2; ++warm) {
+        const auto ignored = model.infer(cloud, config);
+        static_cast<void>(ignored);
+    }
+    std::size_t concat = 0;
+    for (const std::size_t width : cfg.ecWidths) {
+        concat += width;
+    }
+    warmPoolArenas();
+    g_heapMaxBlock.store(0);
+    const SteadyState before = snapshot();
+    const nn::Matrix logits = model.infer(cloud, config);
+    const SteadyState delta = deltaOf(before);
+    EXPECT_EQ(delta.grows, 0u);
+    EXPECT_LT(g_heapMaxBlock.load(),
+              n * (concat + cfg.embeddingDim) * sizeof(float));
+    EXPECT_EQ(logits.rows(), n);
+    nn::setQuantGemmMode(quant);
 }
 
 } // namespace
