@@ -68,16 +68,14 @@ coeffsOf(const TailNorm *norm, std::span<const float> mean,
                   norm->beta, act.slope};
 }
 
-/** Prefix sums of @p counts in the arena: nseg + 1 entries. */
-std::span<std::size_t>
-prefixSums(ScratchArena &arena, std::span<const std::size_t> counts)
+/** Prefix sums of @p counts into @p starts (counts.size() + 1 entries). */
+void
+prefixSums(std::span<const std::size_t> counts, std::span<std::size_t> starts)
 {
-    std::span<std::size_t> starts = arena.alloc<std::size_t>(counts.size() + 1);
     starts[0] = 0;
     for (std::size_t s = 0; s < counts.size(); ++s) {
         starts[s + 1] = starts[s] + counts[s];
     }
-    return starts;
 }
 
 /** The segment whose [starts[s], starts[s+1]) range holds @p i. */
@@ -357,7 +355,9 @@ tailPool(const RowsOf &rows_of, std::span<const std::size_t> seg_rows,
         pool_first[s] = poolFirstExact(
             norm, act, coeffsOf(norm, mean, inv, s, cols, act), cols);
     }
-    const std::span<std::size_t> first_task = prefixSums(arena, tasks);
+    const std::span<std::size_t> first_task =
+        arena.alloc<std::size_t>(nseg + 1);
+    prefixSums(tasks, first_task);
     const TailFn tail = tailFor(norm, act);
     ThreadPool &pool = ThreadPool::globalPool();
     pool.parallelForChunked(0, first_task[nseg], [&](std::size_t lo,
@@ -379,18 +379,19 @@ tailPool(const RowsOf &rows_of, std::span<const std::size_t> seg_rows,
     });
 }
 
-/** Row offsets of a dense matrix's segments; fatal when they do not
-    cover its rows. */
-std::span<std::size_t>
-segmentStarts(ScratchArena &arena, const char *what, const Matrix &src,
-              std::span<const std::size_t> segment_rows)
+/** Row offsets of a dense matrix's segments into @p starts
+    (segment_rows.size() + 1 entries); fatal when they do not cover its
+    rows. */
+void
+segmentStarts(const char *what, const Matrix &src,
+              std::span<const std::size_t> segment_rows,
+              std::span<std::size_t> starts)
 {
-    std::span<std::size_t> starts = prefixSums(arena, segment_rows);
+    prefixSums(segment_rows, starts);
     if (starts.back() != src.rows()) {
         fatal("%s: segment rows %zu != input rows %zu", what, starts.back(),
               src.rows());
     }
-    return starts;
 }
 
 } // namespace
@@ -427,7 +428,8 @@ fusedTailRows(const Matrix &src, Matrix &dst,
     ScratchArena &arena = ScratchArena::local();
     ScratchArena::Frame frame(arena);
     const std::span<std::size_t> first_row =
-        segmentStarts(arena, "fusedTailRows", src, segment_rows);
+        arena.alloc<std::size_t>(nseg + 1);
+    segmentStarts("fusedTailRows", src, segment_rows, first_row);
     std::span<float> mean, inv;
     if (norm != nullptr) {
         mean = arena.alloc<float>(nseg * cols);
@@ -475,7 +477,8 @@ fusedTailPool(const Matrix &src, std::span<const std::size_t> segment_rows,
     ScratchArena &arena = ScratchArena::local();
     ScratchArena::Frame frame(arena);
     const std::span<std::size_t> first_row =
-        segmentStarts(arena, "fusedTailPool", src, segment_rows);
+        arena.alloc<std::size_t>(segment_rows.size() + 1);
+    segmentStarts("fusedTailPool", src, segment_rows, first_row);
     const float *base = src.data();
     tailPool(
         [&](std::size_t s) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <immintrin.h>
 #include <string_view>
 
@@ -139,27 +141,21 @@ packBPanel(const float *__restrict b, bool b_transposed, std::size_t k,
 }
 
 /**
- * The left operand as the A packer reads it. Row i of the logical
- * M x K operand is a[i * lda + kk] for kk < head and row[kk - head] for
- * kk >= head: head == K with no row is A itself, while a row makes it
- * [A | broadcast(row)] without the broadcast ever being built. The
- * transposed flavour (A stored K x M) never carries a row.
+ * The left operand as the A packer reads it: row i is
+ * a[i * lda + kk], or a[kk * lda + i] for the transposed flavour
+ * (A stored K x M).
  */
 struct LeftOperand
 {
     const float *a;
     bool transposed;
     std::size_t lda;
-    std::size_t head;
-    const float *row;
 };
 
 /**
  * Pack one A row block (kMR rows starting at i0) into k-major layout:
  * dst[kk * kMR + ii], zero-padded to kMR rows. The transposed flavour
  * reads A stored as K x M (operand of A^T * B) straight from its rows.
- * A broadcast row fills every row's columns past the head, so the
- * packed values are exactly those of the materialized [A | row] block.
  */
 inline void
 packABlock(const LeftOperand &op, std::size_t k, std::size_t i0,
@@ -168,8 +164,6 @@ packABlock(const LeftOperand &op, std::size_t k, std::size_t i0,
     const float *__restrict a = op.a;
     const std::size_t lda = op.lda;
     if (!op.transposed) {
-        const std::size_t head = op.head;
-        const float *__restrict tail = op.row;
         if (rows == kMR) {
             // EDGEPC_HOT: full-height pack, six streaming read
             // cursors and contiguous writes (one kMR group per kk).
@@ -179,7 +173,7 @@ packABlock(const LeftOperand &op, std::size_t k, std::size_t i0,
             const float *r3 = a + (i0 + 3) * lda;
             const float *r4 = a + (i0 + 4) * lda;
             const float *r5 = a + (i0 + 5) * lda;
-            for (std::size_t kk = 0; kk < head; ++kk) {
+            for (std::size_t kk = 0; kk < k; ++kk) {
                 float *d = dst + kk * kMR;
                 d[0] = r0[kk];
                 d[1] = r1[kk];
@@ -188,27 +182,13 @@ packABlock(const LeftOperand &op, std::size_t k, std::size_t i0,
                 d[4] = r4[kk];
                 d[5] = r5[kk];
             }
-            // EDGEPC_HOT: broadcast-row columns, one value per kk.
-            for (std::size_t kk = head; kk < k; ++kk) {
-                const float v = tail[kk - head];
-                float *d = dst + kk * kMR;
-                for (std::size_t ii = 0; ii < kMR; ++ii) {
-                    d[ii] = v;
-                }
-            }
             return;
         }
         // EDGEPC_HOT: remainder row-block pack.
-        for (std::size_t kk = 0; kk < head; ++kk) {
+        for (std::size_t kk = 0; kk < k; ++kk) {
             float *d = dst + kk * kMR;
             for (std::size_t ii = 0; ii < rows; ++ii) {
                 d[ii] = a[(i0 + ii) * lda + kk];
-            }
-        }
-        for (std::size_t kk = head; kk < k; ++kk) {
-            float *d = dst + kk * kMR;
-            for (std::size_t ii = 0; ii < rows; ++ii) {
-                d[ii] = tail[kk - head];
             }
         }
     } else {
@@ -751,27 +731,12 @@ gemmPacked(const LeftOperand &left, const float *b, bool b_transposed,
     ScratchArena::Frame frame(arena);
     if (m < kMR) {
         // Packing B would touch all of B for < kMR rows of reuse.
-        const float *a = left.a;
-        std::size_t lda = left.lda;
-        if (left.row != nullptr) {
-            // The streaming kernels read plain rows: build the few
-            // [A | row] rows, with the same values the pack would hold.
-            float *rows = arena.alloc<float>(m * k).data();
-            for (std::size_t i = 0; i < m; ++i) {
-                float *dst = std::copy(left.a + i * left.lda,
-                                       left.a + i * left.lda + left.head,
-                                       rows + i * k);
-                std::copy(left.row, left.row + (k - left.head), dst);
-            }
-            a = rows;
-            lda = k;
-        }
         if (use_fma && !b_transposed) {
-            smallMFma(a, left.transposed, lda, b, c, m, k, n, epilogue, bias,
-                      accumulate);
+            smallMFma(left.a, left.transposed, left.lda, b, c, m, k, n,
+                      epilogue, bias, accumulate);
         } else {
-            smallMScalar(a, left.transposed, lda, b, b_transposed, ldb, c, m,
-                         k, n, epilogue, bias, accumulate);
+            smallMScalar(left.a, left.transposed, left.lda, b, b_transposed,
+                         ldb, c, m, k, n, epilogue, bias, accumulate);
         }
         return;
     }
@@ -806,23 +771,24 @@ gemmPacked(const LeftOperand &left, const float *b, bool b_transposed,
 static_assert(GemmTile::kRows == kMR && GemmTile::kCols == kNR,
               "GemmTile mirrors the microkernel register block");
 
-/** What one streamTransposedTiles worker needs (one reference, so the
+/** What one tile-streaming worker needs (one reference, so the
  *  parallelFor closure stays in std::function's inline buffer). */
 struct TileStreamCtx
 {
     const float *a;
-    std::size_t m;
     std::size_t k;
     std::size_t n;
     const float *bpack;
     std::size_t panels;
+    /** Row block t is rows [blockRow[t], blockRow[t + 1]), <= kMC. */
+    const std::size_t *blockRow;
     const std::function<void(const GemmTile &)> *consume;
     bool useFma;
 };
 
 /**
- * Row blocks [lo, hi) of a streamed A * B^T: all kMR-row blocks of a
- * kMC block are packed up front, then each B panel is applied to every
+ * Row blocks [lo, hi) of a streamed A * B: all kMR-row blocks of a
+ * row block are packed up front, then each B panel is applied to every
  * one of them while it is hot in L1. Per row the panels still arrive
  * in ascending order.
  */
@@ -834,14 +800,13 @@ streamTileChunk(const TileStreamCtx &ctx, std::size_t lo, std::size_t hi)
     float *apack = arena.alloc<float>(kMC * ctx.k).data();
     alignas(32) float acc[kMR * kNR];
     for (std::size_t ib = lo; ib < hi; ++ib) {
-        const std::size_t row_lo = ib * kMC;
-        const std::size_t row_hi = std::min(ctx.m, row_lo + kMC);
+        const std::size_t row_lo = ctx.blockRow[ib];
+        const std::size_t row_hi = ctx.blockRow[ib + 1];
         const std::size_t blocks = (row_hi - row_lo + kMR - 1) / kMR;
         for (std::size_t blk = 0; blk < blocks; ++blk) {
             const std::size_t i0 = row_lo + blk * kMR;
-            packABlock(LeftOperand{ctx.a, false, ctx.k, ctx.k, nullptr},
-                       ctx.k, i0, std::min(kMR, row_hi - i0),
-                       apack + blk * kMR * ctx.k);
+            packABlock(LeftOperand{ctx.a, false, ctx.k}, ctx.k, i0,
+                       std::min(kMR, row_hi - i0), apack + blk * kMR * ctx.k);
         }
         for (std::size_t p = 0; p < ctx.panels; ++p) {
             const float *bpanel = ctx.bpack + p * ctx.k * kNR;
@@ -856,10 +821,39 @@ streamTileChunk(const TileStreamCtx &ctx, std::size_t lo, std::size_t hi)
                     microKernelScalar(ablock, bpanel, ctx.k, acc);
                 }
                 (*ctx.consume)(GemmTile{acc, i0, j0,
-                                        std::min(kMR, row_hi - i0), cols});
+                                        std::min(kMR, row_hi - i0), cols, ib});
             }
         }
     }
+}
+
+/**
+ * C = A * B (B stored N x K when @p b_transposed) streamed tile by tile
+ * to @p consume over the row blocks @p block_row bounds. B is packed
+ * once; row blocks are spread over the pool, one owner each.
+ */
+void
+streamTiles(const float *a, const float *b, bool b_transposed, std::size_t k,
+            std::size_t n, std::span<const std::size_t> block_row,
+            bool use_fma, const std::function<void(const GemmTile &)> &consume)
+{
+    ScratchArena &arena = ScratchArena::local();
+    ScratchArena::Frame frame(arena);
+    const std::size_t panels = (n + kNR - 1) / kNR;
+    float *bpack = arena.alloc<float>(panels * k * kNR).data();
+    for (std::size_t p = 0; p < panels; ++p) {
+        packBPanel(b, b_transposed, k, n, b_transposed ? k : n, p,
+                   bpack + p * k * kNR);
+    }
+    const TileStreamCtx ctx{a,      k,      n,        bpack,
+                            panels, block_row.data(), &consume,
+                            use_fma};
+    ThreadPool::globalPool().parallelForChunked(
+        0, block_row.size() - 1,
+        [&ctx](std::size_t lo, std::size_t hi) {
+            streamTileChunk(ctx, lo, hi);
+        },
+        0);
 }
 
 // ---- int8 quantized inference route (layout in nn/quant.hpp) ----
@@ -1378,37 +1372,42 @@ gemmQuantizedPacked(const float *a, std::size_t m,
         0);
 }
 
+/**
+ * Fold @p rows rows of a row-major block (row r at src + r * ld) plus
+ * @p bias, added as the Bias epilogue adds it, into the running column
+ * maxima @p best. GlobalMaxPool's rule: with @p seed the first row is
+ * taken as it is (a NaN there sticks, since no comparison replaces
+ * it); every later value replaces the maximum only when strictly
+ * greater, so ties keep the earlier row and NaN is skipped.
+ */
+inline void
+foldColumnMax(const float *__restrict src, std::size_t ld, std::size_t rows,
+              std::size_t cols, const float *__restrict bias, bool seed,
+              float *__restrict best)
+{
+    std::size_t r = 0;
+    if (seed) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            best[j] = src[j] + bias[j];
+        }
+        r = 1;
+    }
+    // EDGEPC_HOT: biased tile rows into the running maxima.
+    for (; r < rows; ++r) {
+        const float *row = src + r * ld;
+        for (std::size_t j = 0; j < cols; ++j) {
+            const float v = row[j] + bias[j];
+            best[j] = v > best[j] ? v : best[j];
+        }
+    }
+}
+
 } // namespace
 
-void
-GemmEngine::run(const float *a, bool a_transposed, const float *b,
-                bool b_transposed, float *c, std::size_t m, std::size_t k,
-                std::size_t n, GemmEpilogue epilogue, const float *bias,
-                bool accumulate, const float *a_row, std::size_t a_head)
+bool
+GemmEngine::dispatch(std::size_t m, std::size_t k, std::size_t n,
+                     GemmEpilogue epilogue)
 {
-    if (m == 0 || n == 0) {
-        return;
-    }
-    if (k == 0) {
-        // An empty reduction: A * B is all zeros, and C still gets the
-        // epilogue of that zero, exactly as a k > 0 tile store would
-        // round it.
-        for (std::size_t i = 0; i < m; ++i) {
-            float *crow = c + i * n;
-            for (std::size_t j = 0; j < n; ++j) {
-                float v = accumulate ? crow[j] : 0.0f;
-                if (epilogue != GemmEpilogue::None) {
-                    v += bias[j];
-                    if (epilogue == GemmEpilogue::BiasRelu) {
-                        v = v > 0.0f ? v : 0.0f;
-                    }
-                }
-                crow[j] = v;
-            }
-        }
-        return;
-    }
-    EDGEPC_TRACE_SCOPE("gemm", "nn");
     // References cached once: metric objects live for the process.
     static obs::Counter &flops =
         obs::MetricsRegistry::global().counter("gemm.flops");
@@ -1444,21 +1443,48 @@ GemmEngine::run(const float *a, bool a_transposed, const float *b,
         ++scalarCalls;
         scalarPath.add(1);
     }
-    bool use_fma = false;
     switch (dispatchPath()) {
       case GemmDispatchPath::ForceScalar:
-        use_fma = false;
-        break;
+        return false;
       case GemmDispatchPath::ForceFast:
-        use_fma = fmaAvailable();
-        break;
+        return fmaAvailable();
       case GemmDispatchPath::Auto:
-        use_fma = fast && fmaAvailable();
         break;
     }
-    const std::size_t head = a_row != nullptr ? a_head : k;
-    const LeftOperand left{a, a_transposed, a_transposed ? m : head, head,
-                           a_row};
+    return fast && fmaAvailable();
+}
+
+void
+GemmEngine::run(const float *a, bool a_transposed, const float *b,
+                bool b_transposed, float *c, std::size_t m, std::size_t k,
+                std::size_t n, GemmEpilogue epilogue, const float *bias,
+                bool accumulate)
+{
+    if (m == 0 || n == 0) {
+        return;
+    }
+    if (k == 0) {
+        // An empty reduction: A * B is all zeros, and C still gets the
+        // epilogue of that zero, exactly as a k > 0 tile store would
+        // round it.
+        for (std::size_t i = 0; i < m; ++i) {
+            float *crow = c + i * n;
+            for (std::size_t j = 0; j < n; ++j) {
+                float v = accumulate ? crow[j] : 0.0f;
+                if (epilogue != GemmEpilogue::None) {
+                    v += bias[j];
+                    if (epilogue == GemmEpilogue::BiasRelu) {
+                        v = v > 0.0f ? v : 0.0f;
+                    }
+                }
+                crow[j] = v;
+            }
+        }
+        return;
+    }
+    EDGEPC_TRACE_SCOPE("gemm", "nn");
+    const bool use_fma = dispatch(m, k, n, epilogue);
+    const LeftOperand left{a, a_transposed, a_transposed ? m : k};
     gemmPacked(left, b, b_transposed, c, m, k, n, epilogue, bias, accumulate,
                use_fma);
 }
@@ -1519,28 +1545,118 @@ GemmEngine::multiply(const Matrix &a, const Matrix &b,
 }
 
 Matrix
-GemmEngine::multiplyRowConcat(const Matrix &a, const Matrix &row,
-                              const Matrix &b, GemmEpilogue epilogue,
-                              const Matrix &bias)
+GemmEngine::multiplyColumnMax(const Matrix &a, const Matrix &b,
+                              const Matrix &bias,
+                              std::span<const std::size_t> segment_rows)
 {
-    if (row.rows() != 1 || a.cols() + row.cols() != b.rows()) {
-        fatal("GemmEngine::multiplyRowConcat: [%zux%zu | %zux%zu] times "
-              "%zux%zu",
-              a.rows(), a.cols(), row.rows(), row.cols(), b.rows(),
-              b.cols());
+    const std::size_t m = a.rows();
+    const std::size_t k = a.cols();
+    const std::size_t n = b.cols();
+    if (k != b.rows()) {
+        fatal("GemmEngine::multiplyColumnMax: %zux%zu times %zux%zu", m, k,
+              b.rows(), n);
     }
-    if (epilogue != GemmEpilogue::None &&
-        (bias.rows() != 1 || bias.cols() != b.cols())) {
-        fatal("GemmEngine::multiplyRowConcat: bias %zux%zu does not match "
+    if (bias.rows() != 1 || bias.cols() != n) {
+        fatal("GemmEngine::multiplyColumnMax: bias %zux%zu does not match "
               "output width %zu",
-              bias.rows(), bias.cols(), b.cols());
+              bias.rows(), bias.cols(), n);
     }
-    Matrix c(a.rows(), b.cols(), kUninitialized);
-    run(a.data(), false, b.data(), false, c.data(), a.rows(), b.rows(),
-        b.cols(), epilogue,
-        epilogue != GemmEpilogue::None ? bias.data() : nullptr, false,
-        row.data(), a.cols());
-    return c;
+    std::size_t total = 0;
+    std::size_t blocks = 0;
+    for (const std::size_t rows : segment_rows) {
+        if (rows == 0) {
+            fatal("GemmEngine::multiplyColumnMax: empty segment");
+        }
+        total += rows;
+        blocks += (rows + kMC - 1) / kMC;
+    }
+    if (total != m) {
+        fatal("GemmEngine::multiplyColumnMax: segment rows %zu != input "
+              "rows %zu",
+              total, m);
+    }
+    const std::size_t nseg = segment_rows.size();
+    Matrix out(nseg, n, kUninitialized);
+    if (m == 0 || n == 0) {
+        return out;
+    }
+    ScratchArena &arena = ScratchArena::local();
+    ScratchArena::Frame frame(arena);
+    if (m < kMR || k == 0) {
+        // The product multiply() would not pack either: build the few
+        // rows (or the empty reduction's zeros) and fold them.
+        float *c = arena.alloc<float>(m * n).data();
+        run(a.data(), false, b.data(), false, c, m, k, n, GemmEpilogue::None,
+            nullptr, false);
+        std::size_t row = 0;
+        for (std::size_t s = 0; s < nseg; ++s) {
+            foldColumnMax(c + row * n, n, segment_rows[s], n, bias.data(),
+                          true, out.data() + s * n);
+            row += segment_rows[s];
+        }
+        return out;
+    }
+
+    char span[80] = "gemm-colmax";
+    if (obs::Tracer::global().enabled()) {
+        std::snprintf(span, sizeof(span), "gemm-colmax %zux%zux%zu", m, k, n);
+    }
+    EDGEPC_TRACE_SCOPE(span, "nn");
+    const bool use_fma = dispatch(m, k, n, GemmEpilogue::Bias);
+
+    // Row blocks of at most kMC rows that never straddle a segment
+    // boundary; block t folds its tiles into n maxima at partial + t*n.
+    // A block that does not open its segment starts from -inf, so a
+    // NaN in its first row is skipped like any non-first NaN.
+    std::span<std::size_t> block_row = arena.alloc<std::size_t>(blocks + 1);
+    std::span<std::uint8_t> opens = arena.alloc<std::uint8_t>(blocks);
+    float *partial = arena.alloc<float>(blocks * n).data();
+    std::size_t t = 0;
+    std::size_t row = 0;
+    for (const std::size_t rows : segment_rows) {
+        for (std::size_t r = 0; r < rows; r += kMC) {
+            block_row[t] = row + r;
+            opens[t] = r == 0 ? 1 : 0;
+            if (r != 0) {
+                std::fill(partial + t * n, partial + (t + 1) * n,
+                          -std::numeric_limits<float>::infinity());
+            }
+            ++t;
+        }
+        row += rows;
+    }
+    block_row[blocks] = m;
+    struct Fold
+    {
+        const float *bias;
+        const std::size_t *blockRow;
+        const std::uint8_t *opens;
+        float *partial;
+        std::size_t n;
+    } const fold{bias.data(), block_row.data(), opens.data(), partial, n};
+    streamTiles(a.data(), b.data(), false, k, n, block_row, use_fma,
+                [&fold](const GemmTile &tile) {
+                    const bool seed = fold.opens[tile.block] != 0 &&
+                                      tile.row == fold.blockRow[tile.block];
+                    foldColumnMax(tile.acc, GemmTile::kCols, tile.rows,
+                                  tile.cols, fold.bias + tile.col, seed,
+                                  fold.partial + tile.block * fold.n +
+                                      tile.col);
+                });
+
+    // Merge each segment's blocks in row order with the same rule.
+    t = 0;
+    for (std::size_t s = 0; s < nseg; ++s) {
+        float *best = out.data() + s * n;
+        std::copy(partial + t * n, partial + (t + 1) * n, best);
+        for (++t; t < blocks && opens[t] == 0; ++t) {
+            const float *p = partial + t * n;
+            for (std::size_t j = 0; j < n; ++j) {
+                best[j] = p[j] > best[j] ? p[j] : best[j];
+            }
+        }
+    }
+    return out;
 }
 
 Matrix
@@ -1642,21 +1758,16 @@ GemmEngine::streamTransposedTiles(
     }
     ScratchArena &arena = ScratchArena::local();
     ScratchArena::Frame frame(arena);
-    const std::size_t panels = (n + kNR - 1) / kNR;
-    float *bpack = arena.alloc<float>(panels * k * kNR).data();
-    for (std::size_t p = 0; p < panels; ++p) {
-        packBPanel(b, true, k, n, k, p, bpack + p * k * kNR);
+    const std::size_t blocks = (m + kMC - 1) / kMC;
+    std::span<std::size_t> block_row = arena.alloc<std::size_t>(blocks + 1);
+    for (std::size_t ib = 0; ib < blocks; ++ib) {
+        block_row[ib] = ib * kMC;
     }
-    const TileStreamCtx ctx{a,      m,      k,        n,
-                            bpack,  panels, &consume,
-                            dispatchPath() != GemmDispatchPath::ForceScalar &&
-                                fmaAvailable()};
-    ThreadPool::globalPool().parallelForChunked(
-        0, (m + kMC - 1) / kMC,
-        [&ctx](std::size_t lo, std::size_t hi) {
-            streamTileChunk(ctx, lo, hi);
-        },
-        0);
+    block_row[blocks] = m;
+    streamTiles(a, b, true, k, n, block_row,
+                dispatchPath() != GemmDispatchPath::ForceScalar &&
+                    fmaAvailable(),
+                consume);
 }
 
 Matrix

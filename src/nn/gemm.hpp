@@ -23,7 +23,9 @@
  * the backward passes allocate nothing beyond their result. Fused
  * epilogues (bias add, bias+ReLU) are applied while each tile is
  * still in registers, collapsing Linear + activation into one pass
- * over C.
+ * over C. The column-max variant folds each biased tile into
+ * per-segment column maxima instead of storing it, so a Linear that
+ * feeds a global max-pool never writes its output (DESIGN.md §19).
  *
  * Dispatch mirrors the geometry/simd_distance convention: the
  * EDGEPC_GEMM=scalar|fast|auto environment variable (read once at
@@ -38,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "nn/tensor.hpp"
 
@@ -90,6 +93,7 @@ struct GemmTile
     std::size_t col; ///< First row of B (column of C) in the tile.
     std::size_t rows;
     std::size_t cols;
+    std::size_t block; ///< Index of the row block that holds the tile.
 };
 
 /** Packed two-path GEMM with fused epilogues and dispatch statistics. */
@@ -136,18 +140,20 @@ class GemmEngine
                     GemmEpilogue epilogue, const Matrix &bias);
 
     /**
-     * C = [A | broadcast(row)] * B + epilogue: every row of the left
-     * operand is a row of A (M x Ka) followed by the single row @p row
-     * (1 x Kr), and B is (Ka + Kr) x N. The M x Kr broadcast is never
-     * built: the A pack reads the head of each row from A and the rest
-     * from @p row, so the packed values and their K order are those of
-     * the materialized operand and C is bit-identical with
-     * multiply(concatCols(a, broadcastRow(row, M)), b, epilogue, bias)
-     * (DESIGN.md §18).
+     * Per-segment column maxima of C = A * B + bias, without storing C:
+     * row s of the result holds, for each column, the maximum over
+     * segment s's rows (segments are consecutive row ranges of A whose
+     * heights @p segment_rows sum to M; each must be > 0). Each value
+     * is the one multiply(a, b, GemmEpilogue::Bias, bias) would store
+     * (same pack, microkernel and bias add), pooled by
+     * GlobalMaxPool's rule: the first row wins ties, a NaN in a
+     * segment's first row gives NaN, and any other NaN is skipped. The
+     * result is therefore bit-identical with GlobalMaxPool::forward
+     * over each segment of that product (DESIGN.md §19).
      */
-    Matrix multiplyRowConcat(const Matrix &a, const Matrix &row,
-                             const Matrix &b, GemmEpilogue epilogue,
-                             const Matrix &bias);
+    Matrix multiplyColumnMax(const Matrix &a, const Matrix &b,
+                             const Matrix &bias,
+                             std::span<const std::size_t> segment_rows);
 
     /**
      * C = A * B^T with A: M x K, B: N x K (used by backward passes).
@@ -256,16 +262,21 @@ class GemmEngine
   private:
     /**
      * Shared core: policy resolution, counters, then the packed
-     * kernel over (possibly transposed) operands. With @p a_row set,
-     * the left operand is [A | broadcast(a_row)], A being M x @p a_head.
-     * K = 0 still writes C: the epilogue of a zero product (or C
-     * unchanged when accumulating).
+     * kernel over (possibly transposed) operands. K = 0 still writes
+     * C: the epilogue of a zero product (or C unchanged when
+     * accumulating).
      */
     void run(const float *a, bool a_transposed, const float *b,
              bool b_transposed, float *c, std::size_t m, std::size_t k,
              std::size_t n, GemmEpilogue epilogue, const float *bias,
-             bool accumulate, const float *a_row = nullptr,
-             std::size_t a_head = 0);
+             bool accumulate);
+
+    /**
+     * Count one layer GEMM of M x K x N in the gemm.* metrics and the
+     * policy counters; returns whether the FMA microkernel runs it.
+     */
+    bool dispatch(std::size_t m, std::size_t k, std::size_t n,
+                  GemmEpilogue epilogue);
 
     GemmMode policy;
     std::size_t channelThreshold;

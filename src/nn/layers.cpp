@@ -61,6 +61,7 @@ Matrix
 Linear::forwardRowConcat(const Matrix &input, const Matrix &row)
 {
     const std::size_t in = weight.value.rows();
+    const std::size_t n = weight.value.cols();
     if (row.rows() != 1 || input.cols() + row.cols() != in) {
         fatal("Linear::forwardRowConcat: [%zux%zu | %zux%zu] into weight "
               "dim %zu",
@@ -70,8 +71,45 @@ Linear::forwardRowConcat(const Matrix &input, const Matrix &row)
         return forward(concatCols(input, broadcastRow(row, input.rows())),
                        false);
     }
-    return gemm().multiplyRowConcat(input, row, weight.value,
-                                    GemmEpilogue::Bias, bias.value);
+    // [A | 1 row] W + b = A W_top + (row W_bottom + b): the row's share
+    // is the same for every output row, so it joins the bias
+    // (DESIGN.md §19). W_top and W_bottom are W's first input.cols()
+    // rows and the rest, read in place.
+    const float *w_top = weight.value.data();
+    const float *w_bottom = w_top + input.cols() * n;
+    Matrix folded(1, n, kUninitialized);
+    gemm().gemm(row.data(), w_bottom, folded.data(), 1, row.cols(), n,
+                GemmEpilogue::Bias, bias.value.data());
+    Matrix out(input.rows(), n, kUninitialized);
+    gemm().gemm(input.data(), w_top, out.data(), input.rows(), input.cols(),
+                n, GemmEpilogue::Bias, folded.data());
+    return out;
+}
+
+std::vector<Matrix>
+Linear::forwardColumnMax(const Matrix &input,
+                         std::span<const std::size_t> segment_rows)
+{
+    if (input.cols() != weight.value.rows()) {
+        fatal("Linear::forwardColumnMax: input dim %zu != weight dim %zu",
+              input.cols(), weight.value.rows());
+    }
+    std::vector<Matrix> out(segment_rows.size());
+    if (resolveQuantGemm(quantConfig, input.rows(), input.cols())) {
+        // The int8 route quantizes per call: run it whole, then pool.
+        for (Matrix &row : out) {
+            row = Matrix(1, outDim(), kUninitialized);
+        }
+        fusedTailPool(forward(input, false), segment_rows, segment_rows,
+                      nullptr, Activation{}, out);
+        return out;
+    }
+    const Matrix pooled = gemm().multiplyColumnMax(input, weight.value,
+                                                   bias.value, segment_rows);
+    for (std::size_t s = 0; s < out.size(); ++s) {
+        out[s] = sliceRows(pooled, s, s + 1);
+    }
+    return out;
 }
 
 Matrix
@@ -623,17 +661,42 @@ Sequential::inferPooled(const Matrix *src, Matrix &x,
         bn = dynamic_cast<const BatchNorm *>(layers[end - 1].get());
         end -= bn != nullptr ? 1 : 0;
     }
-    inferLayers(src, x, segment_rows, first, end);
-    const Matrix &in = src != nullptr ? *src : x;
     if (group_k.size() != segment_rows.size()) {
         fatal("forwardPooled: %zu group sizes for %zu segments",
               group_k.size(), segment_rows.size());
     }
-    std::vector<Matrix> out(segment_rows.size());
-    for (std::size_t s = 0; s < out.size(); ++s) {
+    bool global = true;
+    for (std::size_t s = 0; s < group_k.size(); ++s) {
         if (group_k[s] == 0) {
             fatal("forwardPooled: group size must be > 0");
         }
+        global = global && group_k[s] == segment_rows[s];
+    }
+    // A lone Linear into a global pool, closed by an activation that
+    // pooling may precede: the GEMM streams into the pool and its
+    // output is never stored (DESIGN.md §19).
+    const bool monotone =
+        act.kind == Activation::Kind::Identity ||
+        (act.kind == Activation::Kind::LeakyRelu && act.slope > 0.0f &&
+         std::isfinite(act.slope));
+    auto *linear = end == first + 1 && bn == nullptr && global && monotone
+                       ? dynamic_cast<Linear *>(layers[first].get())
+                       : nullptr;
+    if (linear != nullptr) {
+        std::vector<Matrix> out = linear->forwardColumnMax(
+            src != nullptr ? *src : x, segment_rows);
+        for (Matrix &row : out) {
+            if (act.kind != Activation::Kind::Identity) {
+                const std::size_t one[] = {1};
+                fusedTailRows(row, row, one, nullptr, act);
+            }
+        }
+        return out;
+    }
+    inferLayers(src, x, segment_rows, first, end);
+    const Matrix &in = src != nullptr ? *src : x;
+    std::vector<Matrix> out(segment_rows.size());
+    for (std::size_t s = 0; s < out.size(); ++s) {
         out[s] = Matrix(segment_rows[s] / group_k[s], in.cols(),
                         kUninitialized);
     }

@@ -116,12 +116,25 @@ class Linear : public Layer
     /**
      * Inference forward of [input | broadcast(row)] — a segmentation
      * head's per-point features next to the one global feature row —
-     * without building the broadcast (GemmEngine::multiplyRowConcat).
-     * Bit-identical with forward(concatCols(input, broadcastRow(row,
-     * input.rows())), false); when the int8 route takes this layer, it
-     * quantizes that materialized operand.
+     * without building the broadcast: row's share of the product,
+     * row * W_bottom, is one GEMV folded into the bias, and the GEMM
+     * reduces over input's columns only. Not bit-identical with
+     * forward() on the materialized operand (the sum order changes);
+     * the forward-error bound is DESIGN.md §19's. When the int8 route
+     * takes this layer, it quantizes that materialized operand.
      */
     Matrix forwardRowConcat(const Matrix &input, const Matrix &row);
+
+    /**
+     * Inference forward followed by a max-pool of all rows of each
+     * segment (segment_rows sum to input.rows()): one 1 x out row per
+     * segment, bit-identical with GlobalMaxPool::forward on each
+     * segment of forward(input, false). The fp32 route never stores
+     * the product (GemmEngine::multiplyColumnMax); the int8 route
+     * runs whole and then pools.
+     */
+    std::vector<Matrix> forwardColumnMax(
+        const Matrix &input, std::span<const std::size_t> segment_rows);
 
     std::size_t inDim() const { return weight.value.rows(); }
     std::size_t outDim() const { return weight.value.cols(); }

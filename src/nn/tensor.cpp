@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "obs/trace.hpp"
 
 namespace edgepc {
 namespace nn {
@@ -109,6 +110,7 @@ concatCols(const Matrix &a, const Matrix &b)
 Matrix
 concatCols(std::span<const Matrix> parts)
 {
+    EDGEPC_TRACE_SCOPE("concat", "nn");
     if (parts.empty()) {
         return Matrix();
     }

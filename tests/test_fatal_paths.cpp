@@ -154,26 +154,35 @@ TEST(FatalPathsDeathTest, MatrixShapeChecks)
 
 TEST(FatalPathsDeathTest, RowConcatShapeChecks)
 {
-    nn::GemmEngine engine(nn::GemmMode::Auto);
-    const nn::Matrix bias(1, 4);
-    // Two-row "row", and a K that misses B's rows by one.
-    EXPECT_DEATH(engine.multiplyRowConcat(nn::Matrix(3, 2), nn::Matrix(2, 2),
-                                          nn::Matrix(4, 4),
-                                          nn::GemmEpilogue::Bias, bias),
-                 "multiplyRowConcat");
-    EXPECT_DEATH(engine.multiplyRowConcat(nn::Matrix(3, 2), nn::Matrix(1, 1),
-                                          nn::Matrix(4, 4),
-                                          nn::GemmEpilogue::Bias, bias),
-                 "multiplyRowConcat");
-    EXPECT_DEATH(engine.multiplyRowConcat(nn::Matrix(3, 2), nn::Matrix(1, 2),
-                                          nn::Matrix(4, 4),
-                                          nn::GemmEpilogue::Bias,
-                                          nn::Matrix(1, 3)),
-                 "bias");
     Rng rng(3);
     nn::Linear linear(5, 4, rng);
+    // A two-row "row", and a K that misses the weight's rows by one.
+    EXPECT_DEATH(linear.forwardRowConcat(nn::Matrix(3, 3), nn::Matrix(2, 2)),
+                 "forwardRowConcat");
     EXPECT_DEATH(linear.forwardRowConcat(nn::Matrix(3, 2), nn::Matrix(1, 2)),
                  "forwardRowConcat");
+}
+
+TEST(FatalPathsDeathTest, ColumnMaxShapeChecks)
+{
+    nn::GemmEngine engine(nn::GemmMode::Auto);
+    const nn::Matrix a(8, 3);
+    const nn::Matrix b(3, 4);
+    const nn::Matrix bias(1, 4);
+    const std::size_t whole[] = {8};
+    const std::size_t short_by_one[] = {3, 4};
+    const std::size_t with_empty[] = {8, 0};
+    EXPECT_DEATH(engine.multiplyColumnMax(a, nn::Matrix(2, 4), bias, whole),
+                 "multiplyColumnMax");
+    EXPECT_DEATH(engine.multiplyColumnMax(a, b, nn::Matrix(1, 3), whole),
+                 "bias");
+    EXPECT_DEATH(engine.multiplyColumnMax(a, b, bias, short_by_one),
+                 "segment rows");
+    EXPECT_DEATH(engine.multiplyColumnMax(a, b, bias, with_empty),
+                 "empty segment");
+    Rng rng(3);
+    nn::Linear linear(5, 4, rng);
+    EXPECT_DEATH(linear.forwardColumnMax(a, whole), "forwardColumnMax");
 }
 
 TEST(FatalPathsDeathTest, PointCloudConsistencyChecks)

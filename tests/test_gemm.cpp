@@ -13,12 +13,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/gemm.hpp"
+#include "nn/layers.hpp"
+#include "row_concat_oracle.hpp"
 
 namespace edgepc {
 namespace nn {
@@ -492,66 +495,243 @@ TEST(GemmEpilogue, EmptyReductionStillWritesEpilogue)
             EXPECT_EQ(plain.at(r, j), 0.0f);
         }
     }
-    // The transpose-free and row-concat variants reduce over an empty
+    // The transpose-free and column-max variants reduce over an empty
     // K the same way.
     expectBitExact(engine.multiplyTransposed(a, Matrix(n, 0)), Matrix(m, n));
     expectBitExact(engine.multiplyLeftTransposed(Matrix(0, m), b),
                    Matrix(m, n));
-    expectBitExact(engine.multiplyRowConcat(a, Matrix(1, 0), b,
-                                            GemmEpilogue::Bias, bias),
-                   with_bias);
+    const std::size_t segments[] = {2, m - 2};
+    const Matrix maxima = engine.multiplyColumnMax(a, b, bias, segments);
+    expectBitExact(maxima, concatRows(std::vector<Matrix>{bias, bias}));
 }
 
 // ---------------------------------------------------------------------
-// [A | broadcast(row)] * B without the broadcast
+// Column maxima of A * B + bias without storing the product
 // ---------------------------------------------------------------------
 
+/** Bit patterns equal: == plus the sign of zero, and NaN to NaN. */
+void
+expectSameBits(const Matrix &got, const Matrix &want)
+{
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+        const float g = got.data()[i];
+        const float w = want.data()[i];
+        if (std::isnan(w)) {
+            ASSERT_TRUE(std::isnan(g)) << "element " << i << ": " << g;
+            continue;
+        }
+        ASSERT_EQ(g, w) << "element " << i;
+        ASSERT_EQ(std::signbit(g), std::signbit(w)) << "element " << i;
+    }
+}
+
+/** multiply() with the Bias epilogue, then GlobalMaxPool's rule per
+ *  segment (the first row wins ties, NaN only from the first row). */
+Matrix
+referenceColumnMax(GemmEngine &engine, const Matrix &a, const Matrix &b,
+                   const Matrix &bias, std::span<const std::size_t> segments)
+{
+    const Matrix c = engine.multiply(a, b, GemmEpilogue::Bias, bias);
+    Matrix out(segments.size(), c.cols());
+    std::size_t first = 0;
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+        for (std::size_t j = 0; j < c.cols(); ++j) {
+            float best = c.at(first, j);
+            for (std::size_t r = first + 1; r < first + segments[s]; ++r) {
+                best = c.at(r, j) > best ? c.at(r, j) : best;
+            }
+            out.at(s, j) = best;
+        }
+        first += segments[s];
+    }
+    return out;
+}
+
 /**
- * multiplyRowConcat against multiply over the materialized operand,
- * float ==, across the microkernel's row remainders (m), empty and
- * wide heads, tails from one column to a global-feature width, and
- * every epilogue. The engine runs GemmMode::Auto, so thin K takes the
- * scalar policy and wide K the fast one under the Auto dispatch path.
+ * multiplyColumnMax against multiply + the pool, bit for bit, across
+ * row remainders of the 6-row microkernel and the 48-row task block,
+ * one and several segments, thin and wide K and N. The engine runs
+ * GemmMode::Auto, so thin K takes the scalar policy and wide K the
+ * fast one under the Auto dispatch path.
  */
 void
-checkRowConcatOnPath(GemmDispatchPath path)
+checkColumnMaxOnPath(GemmDispatchPath path)
 {
     const DispatchPathGuard guard(path);
     GemmEngine engine(GemmMode::Auto);
-    const std::size_t n = 33;
-    const GemmEpilogue epilogues[] = {GemmEpilogue::None, GemmEpilogue::Bias,
-                                      GemmEpilogue::BiasRelu};
-    std::uint64_t seed = 12000;
-    for (const std::size_t m : {1, 5, 6, 7, 13, 97}) {
-        for (const std::size_t left : {0, 1, 64, 192}) {
-            for (const std::size_t width : {1, 17, 1024}) {
-                const Matrix a = randomMatrix(m, left, seed++);
-                const Matrix row = randomMatrix(1, width, seed++);
-                const Matrix b = randomMatrix(left + width, n, seed++);
+    const std::vector<std::vector<std::size_t>> layouts = {
+        {1},      {5},          {6},         {7},         {47},
+        {48},     {49},         {97},        {200},       {48, 48},
+        {1, 5},   {3, 1, 50, 49, 97},        {100, 5, 1}, {13, 96, 2}};
+    std::uint64_t seed = 13000;
+    for (const std::vector<std::size_t> &segments : layouts) {
+        std::size_t m = 0;
+        for (const std::size_t rows : segments) {
+            m += rows;
+        }
+        for (const std::size_t k : {1, 17, 192}) {
+            for (const std::size_t n : {1, 33, 64}) {
+                SCOPED_TRACE(testing::Message()
+                             << "m=" << m << " segments=" << segments.size()
+                             << " k=" << k << " n=" << n);
+                const Matrix a = randomMatrix(m, k, seed++);
+                const Matrix b = randomMatrix(k, n, seed++);
                 const Matrix bias = randomMatrix(1, n, seed++);
-                const Matrix operand = concatCols(a, broadcastRow(row, m));
-                for (const GemmEpilogue ep : epilogues) {
-                    SCOPED_TRACE(testing::Message()
-                                 << "m=" << m << " left=" << left
-                                 << " width=" << width << " epilogue="
-                                 << static_cast<int>(ep));
-                    expectBitExact(
-                        engine.multiplyRowConcat(a, row, b, ep, bias),
-                        engine.multiply(operand, b, ep, bias));
-                }
+                expectSameBits(engine.multiplyColumnMax(a, b, bias, segments),
+                               referenceColumnMax(engine, a, b, bias,
+                                                  segments));
             }
         }
     }
 }
 
-TEST(GemmRowConcat, MatchesMaterializedOperandForcedScalar)
+TEST(GemmColumnMax, MatchesMultiplyThenPoolForcedScalar)
 {
-    checkRowConcatOnPath(GemmDispatchPath::ForceScalar);
+    checkColumnMaxOnPath(GemmDispatchPath::ForceScalar);
 }
 
-TEST(GemmRowConcat, MatchesMaterializedOperandAutoDispatch)
+TEST(GemmColumnMax, MatchesMultiplyThenPoolAutoDispatch)
 {
-    checkRowConcatOnPath(GemmDispatchPath::Auto);
+    checkColumnMaxOnPath(GemmDispatchPath::Auto);
+}
+
+/**
+ * The pool's edge cases, placed where the streamed route splits its
+ * work: NaN in a segment's first row (sticks), NaN in the first row
+ * of a later 48-row block (skipped), and +0/-0 ties whose rows sit in
+ * different blocks (the earlier row wins). A row of A holds one of
+ * x in {-3, +1e-25, -1e-25, NaN} followed by fifteen -0, and B is all
+ * 1e-25, so the FMA build rounds x * 1e-25 to -3e-25, +0, -0 or NaN
+ * (the bias is -0, which keeps each). The scalar build turns -0 into
+ * +0 (its product is rounded before it is added to +0), so there the
+ * ties are plain zeros.
+ */
+void
+checkColumnMaxEdgeCases(GemmDispatchPath path)
+{
+    const DispatchPathGuard guard(path);
+    GemmEngine engine(GemmMode::Auto);
+    const std::size_t k = 16;
+    const std::size_t n = 20;
+    const std::size_t segments[] = {60, 110, 7, 53};
+    const std::size_t m = 230;
+    const float nan = std::nanf("");
+    std::vector<float> lead(m, -3.0f);
+    lead[0] = 1e-25f;   // seg 0 opens at +0 ...
+    lead[48] = -1e-25f; // ... and ties with -0 in its second block.
+    lead[60] = -1e-25f; // seg 1 opens at -0 ...
+    lead[108] = nan;    // ... a NaN opens its second block ...
+    lead[109] = 1e-25f; // ... and +0 there ties with the -0 ...
+    lead[156] = 1e-25f; // ... as does +0 in its third block.
+    lead[170] = nan;    // seg 2 opens with NaN.
+    lead[225] = nan;    // seg 3: NaN opens its second block,
+    lead[226] = 1e-25f; // then +0 beats -3e-25
+    lead[227] = -1e-25f; // and -0 ties with it.
+    Matrix a(m, k, kUninitialized);
+    for (std::size_t i = 0; i < m; ++i) {
+        a.at(i, 0) = lead[i];
+        for (std::size_t kk = 1; kk < k; ++kk) {
+            a.at(i, kk) = -0.0f;
+        }
+    }
+    const Matrix b(k, n, std::vector<float>(k * n, 1e-25f));
+    const Matrix bias(1, n, std::vector<float>(n, -0.0f));
+
+    const Matrix got = engine.multiplyColumnMax(a, b, bias, segments);
+    expectSameBits(got, referenceColumnMax(engine, a, b, bias, segments));
+    const bool fma = path == GemmDispatchPath::Auto &&
+                     GemmEngine::fastKernelAvailable();
+    for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(got.at(0, j), 0.0f);
+        EXPECT_FALSE(std::signbit(got.at(0, j)));
+        EXPECT_EQ(got.at(1, j), 0.0f);
+        EXPECT_EQ(std::signbit(got.at(1, j)), fma);
+        EXPECT_TRUE(std::isnan(got.at(2, j)));
+        EXPECT_EQ(got.at(3, j), 0.0f);
+        EXPECT_FALSE(std::signbit(got.at(3, j)));
+    }
+    if (fma) {
+        // The -0 rows really are -0 in the stored product.
+        const Matrix c = engine.multiply(a, b, GemmEpilogue::Bias, bias);
+        EXPECT_TRUE(std::signbit(c.at(48, 0)));
+        EXPECT_FALSE(std::signbit(c.at(0, 0)));
+    }
+}
+
+TEST(GemmColumnMax, NanAndSignedZeroTiesForcedScalar)
+{
+    checkColumnMaxEdgeCases(GemmDispatchPath::ForceScalar);
+}
+
+TEST(GemmColumnMax, NanAndSignedZeroTiesAutoDispatch)
+{
+    checkColumnMaxEdgeCases(GemmDispatchPath::Auto);
+}
+
+// ---------------------------------------------------------------------
+// [A | broadcast(row)] W + b with the row folded into the bias
+// ---------------------------------------------------------------------
+
+/** Pins the int8 route off, restoring the override on scope exit. */
+class QuantOffGuard
+{
+  public:
+    QuantOffGuard() : saved(quantGemmMode())
+    {
+        setQuantGemmMode(QuantMode::Off);
+    }
+    ~QuantOffGuard() { setQuantGemmMode(saved); }
+
+  private:
+    QuantMode saved;
+};
+
+/**
+ * Linear::forwardRowConcat against the fp64 value of the materialized
+ * operand times W plus b, within the forward-error bound of
+ * row_concat_oracle.hpp, across the microkernel's row remainders (m),
+ * empty and wide heads, and tails from one column to a global-feature
+ * width. The engine runs GemmMode::Auto, so thin K takes the scalar
+ * policy and wide K the fast one under the Auto dispatch path.
+ */
+void
+checkRowConcatFoldOnPath(GemmDispatchPath path)
+{
+    const DispatchPathGuard guard(path);
+    // The fp32 route: int8 (EDGEPC_GEMM=int8) quantizes the
+    // materialized operand and is budgeted in test_quant.cpp.
+    const QuantOffGuard quant;
+    GemmEngine engine(GemmMode::Auto);
+    const std::size_t n = 33;
+    std::uint64_t seed = 12000;
+    for (const std::size_t m : {1, 5, 6, 7, 13, 97}) {
+        for (const std::size_t left : {0, 1, 64, 192}) {
+            for (const std::size_t width : {1, 17, 1024}) {
+                SCOPED_TRACE(testing::Message() << "m=" << m << " left="
+                                                << left << " width=" << width);
+                Rng rng(seed++);
+                Linear linear(left + width, n, rng, &engine);
+                linear.biases().value = randomMatrix(1, n, seed++);
+                const Matrix a = randomMatrix(m, left, seed++);
+                const Matrix row = randomMatrix(1, width, seed++);
+                testing_oracle::expectWithinRowConcatBound(
+                    linear.forwardRowConcat(a, row), a, row,
+                    linear.weights().value, linear.biases().value);
+            }
+        }
+    }
+}
+
+TEST(GemmRowConcat, FoldWithinFp64BoundForcedScalar)
+{
+    checkRowConcatFoldOnPath(GemmDispatchPath::ForceScalar);
+}
+
+TEST(GemmRowConcat, FoldWithinFp64BoundAutoDispatch)
+{
+    checkRowConcatFoldOnPath(GemmDispatchPath::Auto);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include "nn/delayed_agg.hpp"
 #include "nn/gemm.hpp"
 #include "nn/quant.hpp"
+#include "row_concat_oracle.hpp"
 
 namespace edgepc {
 
@@ -26,20 +27,24 @@ namespace edgepc {
  */
 struct ModelProbe
 {
-    /** Dgcnn: reads the EdgeConv outputs of the last infer(). */
-    static nn::Matrix materializedHead(Dgcnn &model)
+    /** What a segmentation head's first Linear reads. */
+    struct HeadInputs
     {
-        const nn::Matrix concat = nn::concatCols(model.ecOutputs);
+        nn::Matrix features;
+        nn::Matrix pooled;
+    };
+
+    /** Dgcnn: from the EdgeConv outputs of the last infer(). */
+    static HeadInputs headInputs(Dgcnn &model)
+    {
+        nn::Matrix concat = nn::concatCols(model.ecOutputs);
         const std::size_t rows[] = {concat.rows()};
-        const nn::Matrix pooled = std::move(
+        nn::Matrix pooled = std::move(
             model.embedding.forwardPooled(concat, rows, rows).front());
-        return model.head.forward(
-            nn::concatCols(concat, nn::broadcastRow(pooled, rows[0])),
-            false);
+        return {std::move(concat), std::move(pooled)};
     }
 
-    static nn::Matrix materializedHead(PointNet &model,
-                                       const PointCloud &cloud)
+    static HeadInputs headInputs(PointNet &model, const PointCloud &cloud)
     {
         nn::Matrix coords(cloud.size(), 3);
         for (std::size_t i = 0; i < cloud.size(); ++i) {
@@ -48,13 +53,27 @@ struct ModelProbe
             coords.at(i, 1) = p.y;
             coords.at(i, 2) = p.z;
         }
-        const nn::Matrix features = model.pointMlp.forward(coords, false);
-        const nn::Matrix pooled = model.globalPool.forward(features, false);
-        return model.head.forward(
-            nn::concatCols(features,
-                           nn::broadcastRow(pooled, cloud.size())),
-            false);
+        nn::Matrix features = model.pointMlp.forward(coords, false);
+        nn::Matrix pooled = model.globalPool.forward(features, false);
+        return {std::move(features), std::move(pooled)};
     }
+
+    /**
+     * Dgcnn classification logits of the last infer()'s EdgeConv
+     * outputs, the unfused way: the embedding Linear stored whole, its
+     * LeakyReLU on every row, then GlobalMaxPool and the head.
+     */
+    static nn::Matrix storedEmbeddingLogits(Dgcnn &model)
+    {
+        const nn::Matrix concat = nn::concatCols(model.ecOutputs);
+        nn::Matrix x = model.embedding.layerAt(0)->forward(concat, false);
+        x = model.embedding.layerAt(1)->forward(x, false);
+        nn::GlobalMaxPool pool;
+        return model.head.forward(pool.forward(x, false), false);
+    }
+
+    static nn::Sequential &head(Dgcnn &model) { return model.head; }
+    static nn::Sequential &head(PointNet &model) { return model.head; }
 };
 
 namespace {
@@ -429,16 +448,29 @@ class GemmAutoGuard
     nn::GemmDispatchPath saved;
 };
 
-/**
- * The segmentation heads' row-concat route against the materialized
- * operand, float ==, under both dispatch paths, both model
- * configurations, and with every Linear forced onto the int8 route
- * (where the head's first Linear falls back to the materialized
- * operand itself).
- */
-template <class Run>
 void
-checkSegHeadRoutes(const Run &run)
+expectIdenticalLogits(const nn::Matrix &got, const nn::Matrix &want)
+{
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (std::size_t i = 0; i < got.numel(); ++i) {
+        ASSERT_EQ(got.data()[i], want.data()[i]) << "element " << i;
+    }
+}
+
+/**
+ * A segmentation head's logits against its fp64 oracle, under both
+ * dispatch paths and both model configurations. On the fp32 route the
+ * head's first Linear folds the pooled row into its bias: its output
+ * must lie within the forward-error bound of the fp64 product
+ * (row_concat_oracle.hpp, DESIGN.md §19), and the logits must be the
+ * rest of the head run on exactly that output. With every Linear
+ * forced onto the int8 route, the first Linear quantizes the
+ * materialized operand, so the logits equal the head run on it.
+ */
+template <class Model, class Inputs>
+void
+checkSegHead(Model &model, const PointCloud &cloud, const Inputs &inputs_of)
 {
     const nn::QuantMode saved = nn::quantGemmMode();
     for (const nn::QuantMode quant :
@@ -453,41 +485,73 @@ checkSegHeadRoutes(const Run &run)
                              << "int8=" << (quant == nn::QuantMode::On)
                              << " path=" << static_cast<int>(path)
                              << " approximate=" << cfg.approximate());
-                run(cfg);
+                const nn::Matrix logits = model.infer(cloud, cfg);
+                const ModelProbe::HeadInputs in = inputs_of();
+                nn::Sequential &head = ModelProbe::head(model);
+                if (quant == nn::QuantMode::On) {
+                    expectIdenticalLogits(
+                        logits,
+                        head.forward(nn::concatCols(in.features,
+                                                    nn::broadcastRow(
+                                                        in.pooled,
+                                                        cloud.size())),
+                                     false));
+                    continue;
+                }
+                auto *lin0 = static_cast<nn::Linear *>(head.layerAt(0));
+                const nn::Matrix h =
+                    lin0->forwardRowConcat(in.features, in.pooled);
+                testing_oracle::expectWithinRowConcatBound(
+                    h, in.features, in.pooled, lin0->weights().value,
+                    lin0->biases().value);
+                const std::size_t rows[] = {h.rows()};
+                expectIdenticalLogits(logits,
+                                      head.forwardSegmented(h, rows, 1));
             }
         }
     }
     nn::setQuantGemmMode(saved);
 }
 
-void
-expectIdenticalLogits(const nn::Matrix &got, const nn::Matrix &want)
-{
-    ASSERT_EQ(got.rows(), want.rows());
-    ASSERT_EQ(got.cols(), want.cols());
-    for (std::size_t i = 0; i < got.numel(); ++i) {
-        ASSERT_EQ(got.data()[i], want.data()[i]) << "element " << i;
-    }
-}
-
 TEST(GemmRowConcat, DgcnnLiteSegLogitsMatchMaterializedHead)
 {
     const PointCloud cloud = makeCloud(200, 31);
     Dgcnn model(DgcnnConfig::liteSegmentation(5), 7);
-    checkSegHeadRoutes([&](const EdgePcConfig &cfg) {
-        const nn::Matrix logits = model.infer(cloud, cfg);
-        expectIdenticalLogits(logits, ModelProbe::materializedHead(model));
-    });
+    checkSegHead(model, cloud, [&] { return ModelProbe::headInputs(model); });
 }
 
 TEST(GemmRowConcat, PointNetSegLogitsMatchMaterializedHead)
 {
     const PointCloud cloud = makeCloud(200, 32);
     PointNet model(PointNetConfig::segmentationConfig(5), 7);
-    checkSegHeadRoutes([&](const EdgePcConfig &cfg) {
-        expectIdenticalLogits(model.infer(cloud, cfg),
-                              ModelProbe::materializedHead(model, cloud));
-    });
+    checkSegHead(model, cloud,
+                 [&] { return ModelProbe::headInputs(model, cloud); });
+}
+
+/**
+ * DGCNN classification streams its embedding GEMM into the global
+ * max-pool; the logits are bit-identical with the stored embedding
+ * run through LeakyReLU and GlobalMaxPool, under both dispatch paths
+ * and both model configurations (DESIGN.md §19).
+ */
+TEST(GemmColumnMax, DgcnnLiteClsLogitsMatchStoredEmbedding)
+{
+    QuantOffGuard quant;
+    const PointCloud cloud = makeCloud(200, 33);
+    Dgcnn model(DgcnnConfig::liteClassification(8), 7);
+    for (const nn::GemmDispatchPath path :
+         {nn::GemmDispatchPath::ForceScalar, nn::GemmDispatchPath::Auto}) {
+        const GemmAutoGuard gemm(path);
+        for (const EdgePcConfig &config :
+             {EdgePcConfig::baseline(), EdgePcConfig::snf()}) {
+            SCOPED_TRACE(testing::Message()
+                         << "path=" << static_cast<int>(path)
+                         << " approximate=" << config.approximate());
+            const nn::Matrix logits = model.infer(cloud, config);
+            expectIdenticalLogits(logits,
+                                  ModelProbe::storedEmbeddingLogits(model));
+        }
+    }
 }
 
 TEST(Dgcnn, ClassificationForwardShapes)

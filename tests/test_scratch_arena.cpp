@@ -680,5 +680,50 @@ TEST(ScratchArenaZeroAlloc, DgcnnSegHeadBuildsNoBroadcastOperand)
     nn::setQuantGemmMode(quant);
 }
 
+/**
+ * A steady-state DGCNN frame streams its embedding GEMM into the
+ * global max-pool (DESIGN.md §19): no single heap block reaches the
+ * n x embeddingDim floats of the stored embedding. The lite configs
+ * get a 512-wide embedding, so that matrix would be the frame's
+ * largest block by far.
+ */
+void
+expectNoEmbeddingMatrix(DgcnnConfig cfg)
+{
+    const nn::QuantMode quant = nn::quantGemmMode();
+    nn::setQuantGemmMode(nn::QuantMode::Off);
+    const std::size_t n = 1024;
+    cfg.embeddingDim = 512;
+    Dgcnn model(cfg, 7);
+    Rng rng(72);
+    ShapeOptions options;
+    options.points = n;
+    const PointCloud cloud = makeShape(ShapeClass::Torus, options, rng);
+    const EdgePcConfig config = EdgePcConfig::snf();
+    for (int warm = 0; warm < 2; ++warm) {
+        const auto ignored = model.infer(cloud, config);
+        static_cast<void>(ignored);
+    }
+    warmPoolArenas();
+    g_heapMaxBlock.store(0);
+    const SteadyState before = snapshot();
+    const nn::Matrix logits = model.infer(cloud, config);
+    const SteadyState delta = deltaOf(before);
+    EXPECT_EQ(delta.grows, 0u);
+    EXPECT_LT(g_heapMaxBlock.load(), n * cfg.embeddingDim * sizeof(float));
+    EXPECT_EQ(logits.cols(), cfg.numClasses);
+    nn::setQuantGemmMode(quant);
+}
+
+TEST(ScratchArenaZeroAlloc, DgcnnClsStoresNoEmbeddingMatrix)
+{
+    expectNoEmbeddingMatrix(DgcnnConfig::liteClassification(8));
+}
+
+TEST(ScratchArenaZeroAlloc, DgcnnSegStoresNoEmbeddingMatrix)
+{
+    expectNoEmbeddingMatrix(DgcnnConfig::liteSegmentation(5));
+}
+
 } // namespace
 } // namespace edgepc
